@@ -7,7 +7,6 @@ matching lower bound; the brute-force module replays every secret of a board
 to check all of it.
 """
 
-from ._kernel import available_backends, set_backend
 from .bruteforce import (
     VerificationReport,
     check_transcript,
@@ -84,7 +83,6 @@ __all__ = [
     "adapt_secret_spare_colors",
     "all_injective_codes",
     "apply_found_component",
-    "available_backends",
     "black",
     "black_partial",
     "bound_enforced",
@@ -106,7 +104,6 @@ __all__ = [
     "rotation",
     "rotation_family",
     "select_active_index",
-    "set_backend",
     "solve",
     "validate_code",
     "validate_partial",

@@ -1,49 +1,55 @@
-"""Kernel backend selection.
+"""Counting kernels: the black-count comparisons every other module pays for.
 
-The counting kernels exist twice: compiled (`_speedups`, Cython) and pure
-Python (`_purepy`).  The compiled one is picked when it imported cleanly and
-the PERMMIND_PURE environment variable is unset.  `set_backend` rebinds the
-module-level names, so callers that use attribute access
-(`_kernel.black_count(...)`) can be switched at runtime, which is what the
-parity tests and the backend benchmark do.
+Per-code counts (`black_count`, `partial_match_count`) serve the solver's
+per-query path; board-wide ones (`min_black_filter`, `partition_by_black`)
+serve the adversary and minimax over whole feasible sets.  Codes may be
+tuples or lists.  Length validation happens in the callers, not here.
+
+The board-wide kernels count inline with `sum(map(eq, ...))` instead of
+calling `black_count`: over thousands of small codes that is faster, and it
+keeps them free of calls through this module's globals.  `active_backend`
+names the implementation for benchmark metadata; there is only this one.
 """
 
-import os
+from operator import eq
 
-from . import _purepy
+OPEN = 0
 
-try:
-    from . import _speedups as _compiled
-except ImportError:
-    _compiled = None
-
-_BACKENDS = {"pure": _purepy, "compiled": _compiled}
-
-active_backend = None
-black_count = None
-partial_match_count = None
-min_black_filter = None
-partition_by_black = None
+active_backend = "pure"
 
 
-def available_backends():
-    return [name for name, mod in _BACKENDS.items() if mod is not None]
+def black_count(a, b):
+    """Number of positions where the two codes agree."""
+    count = 0
+    for x, y in zip(a, b):
+        if x == y:
+            count += 1
+    return count
 
 
-def set_backend(name):
-    mod = _BACKENDS.get(name)
-    if mod is None:
-        raise ValueError(f"kernel backend {name!r} is not available")
-    global active_backend, black_count, partial_match_count
-    global min_black_filter, partition_by_black
-    active_backend = name
-    black_count = mod.black_count
-    partial_match_count = mod.partial_match_count
-    min_black_filter = mod.min_black_filter
-    partition_by_black = mod.partition_by_black
+def partial_match_count(code, partial):
+    """Number of positions where `code` agrees with a non-open entry of `partial`."""
+    count = 0
+    for x, p in zip(code, partial):
+        if p != OPEN and x == p:
+            count += 1
+    return count
 
 
-if _compiled is not None and not os.environ.get("PERMMIND_PURE"):
-    set_backend("compiled")
-else:
-    set_backend("pure")
+def min_black_filter(members, guess):
+    """Smallest black count any member scores against `guess`, plus the members
+    that score exactly that, in input order.  Raises on an empty member list."""
+    if not members:
+        raise ValueError("empty member list")
+    counts = [sum(map(eq, m, guess)) for m in members]
+    best = min(counts)
+    survivors = [m for m, c in zip(members, counts) if c == best]
+    return best, survivors
+
+
+def partition_by_black(members, guess):
+    """Group members by their black count against `guess`, in input order."""
+    parts = {}
+    for m in members:
+        parts.setdefault(sum(map(eq, m, guess)), []).append(m)
+    return parts

@@ -146,8 +146,7 @@ def minimax_value(config: GameConfig, allow_large: bool = False) -> int:
     moment the guess is the secret itself.  Exponential; boards beyond 32
     codes need allow_large, beyond 120 they are refused outright.
     """
-    codes = tuple(all_injective_codes(config))
-    count = len(codes)
+    count = injective_code_count(config)
     if count > MINIMAX_HARD_LIMIT:
         raise CapacityError(
             f"game-tree search over {count} codes is out of reach (limit {MINIMAX_HARD_LIMIT})"
@@ -156,6 +155,7 @@ def minimax_value(config: GameConfig, allow_large: bool = False) -> int:
         raise CapacityError(
             f"game-tree search over {count} codes needs allow_large (soft limit {MINIMAX_SOFT_LIMIT})"
         )
+    codes = tuple(all_injective_codes(config))
     n, k = config.n, config.k
     # answer n wins; n-1 cannot happen between distinct permutations when k == n
     branch = n - 1 if k == n else n
@@ -199,9 +199,9 @@ def minimax_value_naive(config: GameConfig) -> int:
     """Reference implementation: plain recursion, no memo, no pruning, no
     shortcuts.  Only for cross-checking minimax_value on the tiniest boards.
     """
-    codes = tuple(all_injective_codes(config))
-    if len(codes) > 10:
+    if injective_code_count(config) > 10:
         raise CapacityError("the naive search is for cross-checks on tiny boards only")
+    codes = tuple(all_injective_codes(config))
     n = config.n
 
     def value(feasible: tuple) -> int:

@@ -226,9 +226,12 @@ class HumanCodemaker(CodemakerOracle):
         while True:
             line = input(f"guess: {code}   black count? ").strip()
             try:
-                return int(line)
+                count = int(line)
             except ValueError:
-                print(f"  (need a number 0..{self.config.n}, got {line!r})")
+                count = -1
+            if 0 <= count <= self.config.n:
+                return count
+            print(f"  (need a number 0..{self.config.n}, got {line!r})")
 
 
 def cmd_interactive(args) -> int:

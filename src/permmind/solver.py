@@ -58,7 +58,11 @@ class CodemakerOracle(ABC):
     def answer(self, guess) -> int:
         guess = tuple(guess)
         validate_code(guess, self.config)
-        count = int(self._respond(guess))
+        count = self._respond(guess)
+        if type(count) is not int:
+            raise InconsistentOracleError(
+                f"answer {count!r} is a {type(count).__name__}, not an int"
+            )
         if not 0 <= count <= self.config.n:
             raise InconsistentOracleError(
                 f"answer {count} outside 0..{self.config.n}"

@@ -186,6 +186,14 @@ class TestInteractiveCommand:
         assert code == 0
         assert "need a number" in out
 
+    def test_out_of_range_answers_are_reprompted(self, capsys, monkeypatch):
+        answers = answers_for((2, 1, 4, 3))
+        monkeypatch.setattr("sys.stdin", io.StringIO("9\n-1\n" + answers))
+        code, out, _ = run(["interactive", "--n", "4"], capsys)
+        assert code == 0
+        assert "need a number 0..4, got '9'" in out
+        assert "Your code is 2 1 4 3" in out
+
     def test_eof_mid_game(self, capsys, monkeypatch):
         monkeypatch.setattr("sys.stdin", io.StringIO("0\n"))
         code, _, err = run(["interactive", "--n", "4"], capsys)
@@ -208,6 +216,14 @@ class TestMinimaxCommand:
         code, _, err = run(["minimax", "--n", "3", "--k", "5"], capsys)
         assert code == 1
         assert "allow_large" in err
+
+    @pytest.mark.parametrize(
+        "flags,message", [([], "479001600 codes is out of reach"), (["--naive"], "tiny boards only")]
+    )
+    def test_huge_board_refused_before_enumerating(self, capsys, flags, message):
+        code, _, err = run(["minimax", "--n", "12", "--k", "12", *flags], capsys)
+        assert code == 1
+        assert message in err
 
     def test_allow_large(self, capsys):
         code, out, _ = run(["minimax", "--n", "3", "--k", "5", "--allow-large"], capsys)

@@ -1,12 +1,14 @@
-"""Backend parity: the compiled kernels must match the pure ones exactly."""
+"""Counting kernels: the board-wide ones agree with `black_count` member by member."""
 
 import pytest
 from hypothesis import given, strategies as st
 
-from permmind import _kernel, _purepy
-
-_speedups = pytest.importorskip(
-    "permmind._speedups", reason="compiled kernels not built"
+from permmind._kernel import (
+    OPEN,
+    black_count,
+    min_black_filter,
+    partial_match_count,
+    partition_by_black,
 )
 
 
@@ -22,62 +24,48 @@ def codes_and_guess(draw, max_k=8):
 
 
 @given(codes_and_guess())
-def test_black_count_parity(drawn):
+def test_black_count_counts_agreeing_positions(drawn):
     members, guess = drawn
     for m in members:
-        assert _speedups.black_count(m, guess) == _purepy.black_count(m, guess)
+        assert black_count(m, guess) == sum(x == y for x, y in zip(m, guess))
 
 
 @given(codes_and_guess())
-def test_partial_match_count_parity(drawn):
+def test_partial_match_count_ignores_open_positions(drawn):
     members, guess = drawn
-    # reuse members as partials by masking a prefix open
     for m in members:
-        partial = (0,) * (len(m) // 2) + m[len(m) // 2 :]
-        assert _speedups.partial_match_count(guess, partial) == _purepy.partial_match_count(
-            guess, partial
-        )
+        half = len(m) // 2
+        partial = (OPEN,) * half + m[half:]
+        assert partial_match_count(guess, partial) == black_count(guess[half:], m[half:])
 
 
 @given(codes_and_guess())
-def test_min_black_filter_parity(drawn):
+def test_min_black_filter_agrees_with_black_count(drawn):
     members, guess = drawn
-    assert _speedups.min_black_filter(members, guess) == _purepy.min_black_filter(
-        members, guess
+    counts = [black_count(m, guess) for m in members]
+    best = min(counts)
+    assert min_black_filter(members, guess) == (
+        best,
+        [m for m, c in zip(members, counts) if c == best],
     )
 
 
 @given(codes_and_guess())
-def test_partition_by_black_parity(drawn):
+def test_partition_by_black_agrees_with_black_count(drawn):
     members, guess = drawn
-    assert _speedups.partition_by_black(members, guess) == _purepy.partition_by_black(
-        members, guess
-    )
+    parts = partition_by_black(members, guess)
+    assert sorted(parts) == sorted({black_count(m, guess) for m in members})
+    for count, group in parts.items():
+        assert group == [m for m in members if black_count(m, guess) == count]
 
 
-@pytest.mark.parametrize("backend", ["pure", "compiled"])
-def test_empty_filter_raises(backend):
-    mod = _purepy if backend == "pure" else _speedups
+def test_empty_filter_raises():
     with pytest.raises(ValueError):
-        mod.min_black_filter([], (1, 2, 3))
+        min_black_filter([], (1, 2, 3))
 
 
 def test_accepts_lists_too():
-    assert _speedups.black_count([1, 2, 3], (1, 3, 2)) == 1
-    assert _speedups.partial_match_count((1, 2, 3), [0, 2, 0]) == 1
-
-
-def test_set_backend_rebinds():
-    original = _kernel.active_backend
-    try:
-        _kernel.set_backend("pure")
-        assert _kernel.black_count is _purepy.black_count
-        _kernel.set_backend("compiled")
-        assert _kernel.black_count is _speedups.black_count
-    finally:
-        _kernel.set_backend(original)
-
-
-def test_unknown_backend_rejected():
-    with pytest.raises(ValueError):
-        _kernel.set_backend("numpy")
+    assert black_count([1, 2, 3], (1, 3, 2)) == 1
+    assert partial_match_count((1, 2, 3), [0, 2, 0]) == 1
+    assert min_black_filter([[1, 2, 3], [3, 2, 1]], [1, 3, 2]) == (0, [[3, 2, 1]])
+    assert partition_by_black([[1, 2, 3], [3, 2, 1]], [1, 3, 2]) == {1: [[1, 2, 3]], 0: [[3, 2, 1]]}

@@ -114,6 +114,13 @@ class TestInitialPhase:
         with pytest.raises(InconsistentOracleError):
             initial_phase(oracle)
 
+    @pytest.mark.parametrize("mistyped", [1.0, 2.7, "1", True])
+    def test_mistyped_answer_rejected(self, mistyped):
+        oracle = ScriptedOracle(GameConfig(3, 3), [mistyped])
+        with pytest.raises(InconsistentOracleError, match="not an int"):
+            oracle.answer((1, 2, 3))
+        assert oracle.transcript.query_count == 0
+
 
 class TestSelectActiveIndex:
     def _state_with_v(self, v, n=8):
