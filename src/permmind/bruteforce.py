@@ -49,6 +49,22 @@ def check_transcript(transcript: Transcript, secret=None) -> int | None:
     return None
 
 
+def audit_game(secret, recovered, transcript: Transcript, queries: int) -> list[tuple]:
+    """Failures of one finished game that asked `queries` queries:
+    ("wrong_secret", secret, recovered), ("bad_transcript", secret,
+    event_index) and, where the bound is promised, ("over_budget", secret,
+    queries)."""
+    failures = []
+    if recovered != secret:
+        failures.append(("wrong_secret", secret, recovered))
+    bad = check_transcript(transcript, secret)
+    if bad is not None:
+        failures.append(("bad_transcript", secret, bad))
+    if bound_enforced(transcript.config) and queries > query_bound(transcript.config):
+        failures.append(("over_budget", secret, queries))
+    return failures
+
+
 @dataclass
 class VerificationReport:
     """Outcome of replaying the solver against every secret of one board."""
@@ -84,20 +100,17 @@ def exhaustive_verify(
 ) -> VerificationReport:
     """Replay the solver against every secret and audit each game.
 
-    Failures are collected, not raised: ("wrong_secret", secret, got),
-    ("bad_transcript", secret, event_index) and, on boards where the budget
-    is promised, ("over_budget", secret, queries).  The report also counts
-    the games that needed the degenerate first/last swap in the opening
-    binary search, and in how many of those the swapped-in first peg was
-    itself correct (it never should be; the swap exists because that peg was
-    already proven wrong).
+    Failures are collected, not raised, as audit_game reports them.  The
+    report also counts the games that needed the degenerate first/last swap
+    in the opening binary search, and in how many of those the swapped-in
+    first peg was itself correct (it never should be; the swap exists
+    because that peg was already proven wrong).
     """
     _check_capacity(config, max_states, "exhaustive verification")
-    bound = query_bound(config)
     report = VerificationReport(
         config=config,
         total=injective_code_count(config),
-        bound=bound,
+        bound=query_bound(config),
         bound_enforced=bound_enforced(config),
     )
     for secret in all_injective_codes(config):
@@ -107,13 +120,7 @@ def exhaustive_verify(
         report.query_histogram[queries] = report.query_histogram.get(queries, 0) + 1
         if queries > report.max_queries:
             report.max_queries = queries
-        if recovered != secret:
-            report.failures.append(("wrong_secret", secret, recovered))
-        bad = check_transcript(transcript, secret)
-        if bad is not None:
-            report.failures.append(("bad_transcript", secret, bad))
-        if report.bound_enforced and queries > bound:
-            report.failures.append(("over_budget", secret, queries))
+        report.failures.extend(audit_game(secret, recovered, transcript, queries))
         for note in transcript.notes:
             if note[0] == "terminal_swap":
                 report.terminal_swaps += 1

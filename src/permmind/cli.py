@@ -25,7 +25,7 @@ import time
 from fractions import Fraction
 
 from . import __version__
-from .bruteforce import check_transcript, exhaustive_verify, minimax_value, minimax_value_naive
+from .bruteforce import audit_game, exhaustive_verify, minimax_value, minimax_value_naive
 from .codemaker import (
     AdversaryCodemaker,
     LemmaViolationError,
@@ -132,21 +132,10 @@ def cmd_solve(args) -> int:
         else render_transcript_text(transcript, secret)
     )
     _write(out, args.out)
-    if recovered != secret:
-        print(f"verification failed: recovered {recovered}, secret was {secret}", file=sys.stderr)
-        return 2
-    bad = check_transcript(transcript, secret)
-    if bad is not None:
-        print(f"verification failed: transcript event {bad} is inconsistent", file=sys.stderr)
-        return 2
-    if bound_enforced(config) and transcript.query_count > query_bound(config):
-        print(
-            f"verification failed: {transcript.query_count} queries exceed "
-            f"the bound {query_bound(config)}",
-            file=sys.stderr,
-        )
-        return 2
-    return 0
+    failures = audit_game(secret, recovered, transcript, transcript.query_count)
+    for failure in failures:
+        print(f"verification failed: {failure}", file=sys.stderr)
+    return 2 if failures else 0
 
 
 def cmd_exhaustive(args) -> int:
@@ -332,6 +321,9 @@ def main(argv=None) -> int:
         return 1
     except InconsistentOracleError as exc:
         print(f"permmind: inconsistent: {exc}", file=sys.stderr)
+        return 2
+    except SolverInvariantError as exc:
+        print(f"permmind: verification failed: {exc}", file=sys.stderr)
         return 2
     except LemmaViolationError as exc:
         print(f"permmind: ALARM: {exc}", file=sys.stderr)

@@ -80,7 +80,6 @@ class SolverState:
     """Everything the codebreaker knows mid-game.
 
     `partial` holds the identified components (OPEN elsewhere);
-    `rotation_answers` are the raw black counts of the rotation family;
     `v` tracks how many open-position matches each rotation still hides and is
     decremented exactly once per identified component.
     """
@@ -89,7 +88,6 @@ class SolverState:
     oracle: CodemakerOracle
     partial: list[int]
     v: list[int] = field(default_factory=list)
-    rotation_answers: list[int] = field(default_factory=list)
     solved_secret: tuple | None = None
 
     @property
@@ -183,8 +181,7 @@ def initial_phase(oracle: CodemakerOracle, config: GameConfig | None = None) -> 
         )
     state.record_derived(rots[k - 1], last)
     counts.append(last)
-    state.rotation_answers = list(counts)
-    state.v = list(counts)
+    state.v = counts
     state.solved_secret = secret
     return state
 
@@ -372,8 +369,8 @@ def apply_found_component(state: SolverState, j: int, m: int) -> None:
 
 def endgame(state: SolverState) -> tuple:
     """Enumerate the completions consistent with every recorded answer and
-    guess them in sorted order.  At most two can remain; the winning guess
-    counts as a query like any other."""
+    guess them in sorted order.  At most two can remain, so this costs at
+    most 2 queries, the winning guess included."""
     config = state.config
     n, k = config.n, config.k
     rots = state.rotations
@@ -412,24 +409,45 @@ def endgame(state: SolverState) -> tuple:
     raise InconsistentOracleError("every consistent completion was rejected")
 
 
+def _run_phase(state: SolverState, phase, budget: int, *args):
+    """Run one phase and raise if it asked more than `budget` queries.  Phases
+    after the opening record no derived events, so new events are queries."""
+    events = state.transcript.events
+    before = len(events)
+    result = phase(state, *args)
+    spent = len(events) - before
+    if spent > budget:
+        raise SolverInvariantError(f"{phase.__name__} asked {spent} queries, budget {budget}")
+    return result
+
+
 def solve(oracle: CodemakerOracle, config: GameConfig | None = None) -> tuple[tuple, Transcript]:
-    """Play one full game and return (secret, transcript)."""
+    """Play one full game and return (secret, transcript).
+
+    Each search and the endgame must stay within the cost its docstring
+    states; an overrun raises SolverInvariantError.
+    """
     config = _resolve_config(oracle, config)
     n, k = config.n, config.k
     state = initial_phase(oracle, config)
     if state.solved_secret is not None:
         return state.solved_secret, state.transcript
+    log_n = ceil_log2(n)
     if k == n and state.open_count() > 2:
         if all(c == 1 for c in state.v):
             j = 1
-            m = find_first_uniform(state)
+            m = _run_phase(state, find_first_uniform, n // 2 + 1)
         else:
             j, _ = select_active_index(state)
-            m = find_first(state, j)
+            m = _run_phase(state, find_first, 2 * log_n, j)
         apply_found_component(state, j, m)
+    if k == n:
+        search, budget = find_next, 1 + log_n
+    else:
+        search, budget = find_next_many_colors, log_n
     while state.open_count() > 2:
         j, _ = select_active_index(state)
-        m = find_next(state, j) if k == n else find_next_many_colors(state, j)
+        m = _run_phase(state, search, budget, j)
         apply_found_component(state, j, m)
-    secret = endgame(state)
+    secret = _run_phase(state, endgame, 2)
     return secret, state.transcript

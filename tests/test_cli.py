@@ -10,6 +10,7 @@ import pytest
 from permmind import (
     GameConfig,
     LemmaViolationError,
+    SolverInvariantError,
     StaticCodemaker,
     random_injective_code,
     solve,
@@ -89,6 +90,21 @@ class TestSolveCommand:
         assert code == 0
         data = json.loads(out)
         assert data["k"] == 5 and data["bound"] == 8
+
+    def test_wrong_secret_exits_2(self, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "solve", lambda oracle, config: ((1, 2, 3, 4), solve(oracle)[1]))
+        code, _, err = run(["solve", "--n", "4", "--secret", "2,1,4,3"], capsys)
+        assert code == 2
+        assert "verification failed: ('wrong_secret'" in err
+
+    def test_solver_invariant_exits_2(self, capsys, monkeypatch):
+        def broken(oracle, config):
+            raise SolverInvariantError("find_next asked 8 queries, budget 4")
+
+        monkeypatch.setattr(cli, "solve", broken)
+        code, _, err = run(["solve", "--n", "4", "--seed", "1"], capsys)
+        assert code == 2
+        assert "permmind: verification failed: find_next asked" in err
 
 
 class TestExhaustiveCommand:

@@ -1,5 +1,6 @@
 """Strategy internals: opening, binary searches, endgame, budgets."""
 
+import functools
 import math
 
 import pytest
@@ -28,8 +29,8 @@ from permmind import (
     select_active_index,
     solve,
 )
+import permmind.solver
 from permmind.solver import CodemakerOracle
-from util import solve_with_budget_audit
 
 
 class ScriptedOracle(CodemakerOracle):
@@ -395,11 +396,28 @@ class TestSolve:
 
     @pytest.mark.parametrize("n,k", [(4, 4), (5, 5), (6, 6), (3, 5), (4, 6), (2, 3), (2, 4)])
     def test_every_secret_within_phase_budgets(self, n, k):
+        # solve itself raises SolverInvariantError when a phase overspends
         config = GameConfig(n, k)
         for secret in all_injective_codes(config):
-            oracle = StaticCodemaker(secret, config)
-            recovered, transcript = solve_with_budget_audit(oracle, config)
+            recovered, transcript = solve(StaticCodemaker(secret, config), config)
             assert recovered == secret
-            replay = solve(StaticCodemaker(secret, config), config)
-            assert replay[0] == secret
-            assert replay[1].query_count == transcript.query_count
+            assert sum(not ev.derived for ev in transcript.events[:k]) <= k - 1
+            if bound_enforced(config):
+                assert transcript.query_count <= query_bound(config)
+
+    @pytest.mark.parametrize(
+        "phase,k", [("find_next", 8), ("find_next_many_colors", 9), ("endgame", 8)]
+    )
+    def test_phase_overspend_raises(self, monkeypatch, phase, k):
+        original = getattr(permmind.solver, phase)
+
+        @functools.wraps(original)
+        def overspending(state, *args):
+            for _ in range(5):
+                state.ask(state.rotations[0])
+            return original(state, *args)
+
+        monkeypatch.setattr(permmind.solver, phase, overspending)
+        config = GameConfig(8, k)
+        with pytest.raises(SolverInvariantError, match=f"^{phase} asked"):
+            solve(StaticCodemaker((7, 1, 4, 3, 2, 8, 5, 6), config), config)

@@ -3,21 +3,7 @@ constrained random instance generators."""
 
 from __future__ import annotations
 
-from permmind import (
-    GameConfig,
-    AdaptionInstance,
-    apply_found_component,
-    bound_enforced,
-    ceil_log2,
-    endgame,
-    find_first,
-    find_first_uniform,
-    find_next,
-    find_next_many_colors,
-    initial_phase,
-    query_bound,
-    select_active_index,
-)
+from permmind import AdaptionInstance, GameConfig
 
 
 def brute_white(w, x) -> int:
@@ -30,45 +16,6 @@ def brute_white(w, x) -> int:
         for j in range(len(x))
         if i != j and w[i] == x[j]
     )
-
-
-def solve_with_budget_audit(oracle, config: GameConfig):
-    """Mirror of the solver's main flow that additionally asserts the
-    per-phase query budgets, not just the total."""
-    n, k = config.n, config.k
-    state = initial_phase(oracle, config)
-    assert state.transcript.query_count <= k - 1
-    if state.solved_secret is not None:
-        return state.solved_secret, state.transcript
-
-    def audited(fn, budget, *args):
-        before = state.transcript.query_count
-        result = fn(state, *args)
-        spent = state.transcript.query_count - before
-        assert spent <= budget, f"{fn.__name__} spent {spent} > {budget}"
-        return result
-
-    if k == n and state.open_count() > 2:
-        if all(c == 1 for c in state.v):
-            j = 1
-            m = audited(find_first_uniform, n // 2 + 1)
-        else:
-            j, _ = select_active_index(state)
-            m = audited(find_first, 2 * ceil_log2(n), j)
-        apply_found_component(state, j, m)
-    while state.open_count() > 2:
-        j, _ = select_active_index(state)
-        if k == n:
-            m = audited(find_next, 1 + ceil_log2(n), j)
-        else:
-            m = audited(find_next_many_colors, ceil_log2(n), j)
-        apply_found_component(state, j, m)
-    before = state.transcript.query_count
-    secret = endgame(state)
-    assert state.transcript.query_count - before <= 2
-    if bound_enforced(config):
-        assert state.transcript.query_count <= query_bound(config)
-    return secret, state.transcript
 
 
 def _random_injective(rng, n: int, k: int) -> tuple:
