@@ -19,8 +19,7 @@ from .codemaker import (
     AdversaryCodemaker,
     LemmaViolationError,
     StaticCodemaker,
-    adapt_secret_same_colors,
-    adapt_secret_spare_colors,
+    adapt_secret,
     all_injective_codes,
     injective_code_count,
     random_injective_code,
@@ -79,8 +78,7 @@ __all__ = [
     "Transcript",
     "TranscriptEvent",
     "VerificationReport",
-    "adapt_secret_same_colors",
-    "adapt_secret_spare_colors",
+    "adapt_secret",
     "all_injective_codes",
     "apply_found_component",
     "black",

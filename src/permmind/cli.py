@@ -59,14 +59,10 @@ def _parse_code(text: str) -> tuple:
         raise argparse.ArgumentTypeError(f"{text!r} is not a code (want e.g. 2,1,4,3)")
 
 
-def _add_board(parser, require_k: bool = False):
+def _add_board(parser):
     parser.add_argument("--n", type=int, required=True, help="number of holes")
     parser.add_argument(
-        "--k",
-        type=int,
-        default=None,
-        required=require_k,
-        help="number of colors (default: same as --n)",
+        "--k", type=int, default=None, help="number of colors (default: same as --n)"
     )
 
 
@@ -232,7 +228,7 @@ def cmd_interactive(args) -> int:
     oracle = HumanCodemaker(config)
     try:
         secret, transcript = solve(oracle, config)
-    except (InconsistentOracleError, SolverInvariantError):
+    except InconsistentOracleError:
         print("Those answers contradict each other; no code fits them.")
         return 2
     except EOFError:

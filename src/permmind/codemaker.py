@@ -5,14 +5,16 @@ to nothing: it keeps the set of secrets consistent with everything answered
 so far, always answers with the smallest black count any remaining secret
 would produce, and discards the rest.  Played against, it forces the
 codebreaker to spend at least n queries when k == n and at least k queries
-when k > n; `verify_lower_bound_play` runs such a game and checks the answer
-floors the argument rests on (answer at query m is at most m when k == n, and
-below n before query k when k > n).
+when k > n; `verify_lower_bound_play` runs such a game and checks, on the
+adversary's transcript, the answer floors the argument rests on (answer at
+query m is at most m when k == n, and below n before query k when k > n).
 
-The two adaption procedures are the constructive heart of that argument:
-given the query history and a current notional secret, they build another
-secret that keeps every earlier black count but strictly lowers the latest
-one, proving the adversary could have answered lower all along.
+The adaption procedure is the constructive heart of that argument: given
+the query history and a current notional secret, `adapt_secret` builds
+another secret that keeps every earlier black count but strictly lowers the
+latest one, proving the adversary could have answered lower all along.  It
+is one chain walk over two color pools: the colors on which the current
+query and secret agree when k == n, and every color when k > n.
 """
 
 from __future__ import annotations
@@ -98,15 +100,13 @@ class AdversaryCodemaker(CodemakerOracle):
 
     Keeps the feasible set explicitly, so nothing it says is ever a lie about
     every remaining secret, and the game cannot end until the set is a
-    singleton (only then can an answer reach n).  `trace` records
-    (query_index, answer) pairs for the floor checks.
+    singleton (only then can an answer reach n).
     """
 
     def __init__(self, config: GameConfig, transcript=None, max_states: int | None = None):
         _check_capacity(config, max_states, "adversary play")
         super().__init__(config, transcript)
         self.feasible: list[tuple] = list(all_injective_codes(config))
-        self.trace: list[tuple[int, int]] = []
 
     @property
     def feasible_count(self) -> int:
@@ -117,7 +117,6 @@ class AdversaryCodemaker(CodemakerOracle):
         if not survivors:
             raise InconsistentOracleError("adversary feasible set emptied")
         self.feasible = survivors
-        self.trace.append((self.transcript.query_count + 1, count))
         return count
 
 
@@ -126,7 +125,7 @@ class AdaptionInstance:
     """Query history plus the secret currently pretended.
 
     `queries` holds x^1..x^m in order (the last one is the current query);
-    `current_secret` is y^m.  Both adaption procedures consume this.
+    `current_secret` is y^m.  `adapt_secret` consumes this.
     """
 
     config: GameConfig
@@ -160,103 +159,62 @@ class AdaptionInstance:
         return set(range(1, self.config.k + 1)) - tried
 
 
-def _close_cycle(instance: AdaptionInstance, positions, colors, start_idx) -> tuple:
-    z = list(instance.current_secret)
-    for pos, color in zip(positions[start_idx:], colors[start_idx:]):
-        z[pos - 1] = color
-    return tuple(z)
+def adapt_secret(instance: AdaptionInstance) -> tuple:
+    """Replacement secret that keeps all earlier black counts and strictly
+    lowers the current one.
 
+    Starts at the first position where the current query and secret agree
+    and walks a chain: each position takes the smallest color from the pool
+    never tried there, and the walk moves on to the position the secret
+    holds that color at.  It stops when the color closes a cycle, and the
+    cycle is rewritten, so the result is again injective; or when the color
+    is unused by the secret, and the whole chain is rewritten.
 
-def adapt_secret_same_colors(instance: AdaptionInstance) -> tuple:
-    """Replacement secret for k == n that keeps all earlier black counts and
-    strictly lowers the current one.
-
-    Needs at least m+1 colors agreeing between the current query and secret.
-    Walks a chain of agreeing positions, rewriting each to a color never
-    tried there, until a chosen color closes a cycle; the rewritten stretch
-    is that cycle, so the result is again a permutation.  All choices resolve
-    to the smallest qualifying position or color.
+    The board picks the pool.  For k == n it is the colors on which the
+    current query and secret agree, and there must be at least m+1 of them;
+    every color is in the secret, so only a cycle can end the walk.  For
+    k > n it is every color, the two codes must agree somewhere, and an
+    untried color exists at every position as long as m < k.
     """
     config = instance.config
-    if config.k != config.n:
-        raise ValueError("this variant needs exactly as many colors as holes")
     y = instance.current_secret
-    x = instance.current_query
-    agreeing = instance.agreement_colors()
-    if len(agreeing) < instance.m + 1:
-        raise ValueError(
-            f"need at least {instance.m + 1} agreeing colors, have {len(agreeing)}"
-        )
-    positions = [min(i for i in range(1, config.n + 1) if y[i - 1] == x[i - 1])]
-    seen = set()
-    options = instance.allowed_colors_at(positions[0]) & agreeing
-    if not options:
-        raise ValueError(f"no replacement color available at position {positions[0]}")
-    colors = [min(options)]
-    while colors[-1] not in seen:
-        seen.add(y[positions[-1] - 1])
-        nxt = y.index(colors[-1]) + 1
-        positions.append(nxt)
-        options = instance.allowed_colors_at(nxt) & agreeing
-        if not options:
-            raise ValueError(f"no replacement color available at position {nxt}")
-        colors.append(min(options))
-        if len(positions) > config.n:
-            raise RuntimeError("replacement chain failed to close")
-    closing = colors[-1]
-    start_idx = next(
-        idx for idx, pos in enumerate(positions[:-1]) if y[pos - 1] == closing
+    if config.k == config.n:
+        pool = instance.agreement_colors()
+        if len(pool) < instance.m + 1:
+            raise ValueError(
+                f"need at least {instance.m + 1} agreeing colors, have {len(pool)}"
+            )
+    else:
+        pool = set(range(1, config.k + 1))
+    start = next(
+        (i for i in range(1, config.n + 1) if y[i - 1] == instance.current_query[i - 1]),
+        None,
     )
-    return _close_cycle(instance, positions, colors, start_idx)
-
-
-def adapt_secret_spare_colors(instance: AdaptionInstance) -> tuple:
-    """Replacement secret for k > n that keeps all earlier black counts and
-    strictly lowers the current one.
-
-    Meant for the all-black situation where the current query equals the
-    current secret; more loosely it only needs the first position (or, as an
-    extension, the smallest position) where the two agree.  The chain may now
-    also end by picking a color the secret does not use at all, in which case
-    the whole chain from its start is rewritten rather than just a cycle.
-    Requires fewer queries than colors so that an untried color exists at
-    every position.
-    """
-    config = instance.config
-    if config.k <= config.n:
-        raise ValueError("this variant needs spare colors (k > n)")
-    y = instance.current_secret
-    x = instance.current_query
-    agreeing_positions = [
-        i for i in range(1, config.n + 1) if y[i - 1] == x[i - 1]
-    ]
-    if not agreeing_positions:
+    if start is None:
         raise ValueError("current query and secret agree nowhere")
     unused = set(range(1, config.k + 1)) - set(y)
-    positions = [agreeing_positions[0]]
+
+    def untried(position: int) -> int:
+        options = instance.allowed_colors_at(position) & pool
+        if not options:
+            raise ValueError(f"no replacement color available at position {position}")
+        return min(options)
+
+    positions = [start]
+    colors = [untried(start)]
     seen = set()
-    options = instance.allowed_colors_at(positions[0])
-    if not options:
-        raise ValueError(f"every color was already tried at position {positions[0]}")
-    colors = [min(options)]
     while colors[-1] not in seen and colors[-1] not in unused:
         seen.add(y[positions[-1] - 1])
-        nxt = y.index(colors[-1]) + 1
-        positions.append(nxt)
-        options = instance.allowed_colors_at(nxt)
-        if not options:
-            raise ValueError(f"every color was already tried at position {nxt}")
-        colors.append(min(options))
+        positions.append(y.index(colors[-1]) + 1)
+        colors.append(untried(positions[-1]))
         if len(positions) > config.n:
             raise RuntimeError("replacement chain failed to close")
     closing = colors[-1]
-    if closing in unused:
-        start_idx = 0
-    else:
-        start_idx = next(
-            idx for idx, pos in enumerate(positions[:-1]) if y[pos - 1] == closing
-        )
-    return _close_cycle(instance, positions, colors, start_idx)
+    first = 0 if closing in unused else positions.index(y.index(closing) + 1)
+    z = list(y)
+    for pos, color in zip(positions[first:], colors[first:]):
+        z[pos - 1] = color
+    return tuple(z)
 
 
 def verify_lower_bound_play(
@@ -266,25 +224,26 @@ def verify_lower_bound_play(
 ) -> tuple[int, list[tuple[int, int]]]:
     """Play the solver against the adversary and audit the answer floors.
 
-    Returns (queries_used, trace) where trace lists (query_index, answer).
-    Raises LemmaViolationError if an answer exceeds its floor: when k == n
-    the m-th answer must stay at most m; when k > n every answer before the
-    k-th must stay below n.
+    Returns (queries_used, trace) where trace lists (query_index, answer),
+    read from the adversary's transcript.  Raises LemmaViolationError if an
+    answer exceeds its floor: when k == n the m-th answer must stay at most
+    m; when k > n every answer before the k-th must stay below n.
     """
     oracle = AdversaryCodemaker(config, max_states=max_states)
-    secret, transcript = solver(oracle, config)
+    secret, _ = solver(oracle, config)
     if oracle.feasible != [secret]:
         raise InconsistentOracleError(
             "game ended before the feasible set was a verified singleton"
         )
+    queried = oracle.transcript.queried_events()
+    trace = [(m, ev.black) for m, ev in enumerate(queried, start=1)]
     n, k = config.n, config.k
     floor = n if k == n else k
-    if transcript.query_count < floor:
+    if len(trace) < floor:
         raise LemmaViolationError(
-            f"game ended after {transcript.query_count} queries, "
-            f"below the {floor}-query floor"
+            f"game ended after {len(trace)} queries, below the {floor}-query floor"
         )
-    for m, answer in oracle.trace:
+    for m, answer in trace:
         if k == n:
             if answer > m:
                 raise LemmaViolationError(
@@ -294,4 +253,4 @@ def verify_lower_bound_play(
             raise LemmaViolationError(
                 f"query {m} was answered {answer}, which should be impossible before query {k}"
             )
-    return transcript.query_count, list(oracle.trace)
+    return len(trace), trace

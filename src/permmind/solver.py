@@ -355,12 +355,16 @@ def find_next_many_colors(state: SolverState, j: int) -> int:
 
 def apply_found_component(state: SolverState, j: int, m: int) -> None:
     """Fix position m to rotation j's color there and retire one of j's
-    remaining open matches."""
+    remaining open matches.
+
+    A search that lands on a fixed position or a placed color was misled by
+    answers no secret gives, so those raise InconsistentOracleError; a
+    rotation with nothing left to spend can only come from the caller."""
     color = state.rotations[j - 1][m - 1]
     if state.partial[m - 1] != OPEN:
-        raise SolverInvariantError(f"position {m} is already fixed")
+        raise InconsistentOracleError(f"position {m} is already fixed")
     if color in state.partial:
-        raise SolverInvariantError(f"color {color} is already placed")
+        raise InconsistentOracleError(f"color {color} is already placed")
     if state.v[j - 1] <= 0:
         raise SolverInvariantError(f"rotation {j} has no open matches left to spend")
     state.partial[m - 1] = color

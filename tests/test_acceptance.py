@@ -30,7 +30,7 @@ from permmind import (
 )
 from permmind import cli
 from util import make_same_colors_instance, make_spare_colors_instance
-from permmind import adapt_secret_same_colors, adapt_secret_spare_colors
+from permmind import adapt_secret
 
 
 def _report(line):
@@ -130,8 +130,8 @@ def test_criterion_05_adversary_square_boards():
         assert oracle.feasible == [secret]
         assert transcript.query_count >= n
         assert all(size > 0 for size in oracle.sizes)
-        for m, answer in oracle.trace:
-            assert answer <= m, (n, m, answer)
+        for m, event in enumerate(transcript.queried_events(), start=1):
+            assert event.black <= m, (n, m, event.black)
         queries, _ = verify_lower_bound_play(config)
         results[n] = queries
     _report(f"criterion 5 PASS: adversary queries {results}")
@@ -148,9 +148,9 @@ def test_criterion_06_adversary_wide_boards():
         assert oracle.feasible == [secret]
         assert transcript.query_count >= k
         assert all(size > 0 for size in oracle.sizes)
-        for m, answer in oracle.trace:
+        for m, event in enumerate(transcript.queried_events(), start=1):
             if m < k:
-                assert answer < n, (n, k, m, answer)
+                assert event.black < n, (n, k, m, event.black)
         queries, _ = verify_lower_bound_play(config)
         results[(n, k)] = queries
     _report(f"criterion 6 PASS: adversary queries {results}")
@@ -186,18 +186,18 @@ def _check_adaption(instance, adapted):
 
 
 def test_criterion_08_adaption_postconditions():
-    """1000 random instances per variant: the adapted secret is a valid code,
+    """1000 random instances per color pool: the adapted secret is a valid code,
     preserves every earlier count, and strictly lowers the current one."""
     rng = random.Random(777)
     failures = []
     for _ in range(1000):
         inst = make_same_colors_instance(rng)
-        problem = _check_adaption(inst, adapt_secret_same_colors(inst))
+        problem = _check_adaption(inst, adapt_secret(inst))
         if problem:
             failures.append(("same", inst, problem))
     for _ in range(1000):
         inst = make_spare_colors_instance(rng)
-        problem = _check_adaption(inst, adapt_secret_spare_colors(inst))
+        problem = _check_adaption(inst, adapt_secret(inst))
         if problem:
             failures.append(("spare", inst, problem))
     assert not failures, failures[:3]

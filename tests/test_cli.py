@@ -195,6 +195,16 @@ class TestInteractiveCommand:
         assert code == 2
         assert "contradict" in out
 
+    def test_solver_bug_is_not_blamed_on_the_answers(self, capsys, monkeypatch):
+        def broken(oracle, config):
+            raise SolverInvariantError("endgame entered with 3 open positions")
+
+        monkeypatch.setattr(cli, "solve", broken)
+        code, out, err = run(["interactive", "--n", "4"], capsys)
+        assert code == 2
+        assert "contradict" not in out
+        assert "permmind: verification failed: endgame entered" in err
+
     def test_junk_lines_are_reprompted(self, capsys, monkeypatch):
         answers = answers_for((2, 1, 4, 3))
         monkeypatch.setattr("sys.stdin", io.StringIO("huh\n" + answers))

@@ -14,8 +14,7 @@ from permmind import (
     LemmaViolationError,
     StaticCodemaker,
     Transcript,
-    adapt_secret_same_colors,
-    adapt_secret_spare_colors,
+    adapt_secret,
     all_injective_codes,
     black,
     injective_code_count,
@@ -154,11 +153,9 @@ class TestAdversary:
         # an answer above its floor must trip the alarm even in a long game
         def fake_solver(oracle, config):
             oracle.feasible = [(1, 2, 3)]
-            oracle.trace = [(1, 2)]
-            transcript = Transcript(config)
-            for _ in range(3):
-                transcript.record((1, 2, 3), 1)
-            return (1, 2, 3), transcript
+            for answer in (2, 1, 1):
+                oracle.transcript.record((1, 2, 3), answer)
+            return (1, 2, 3), oracle.transcript
 
         with pytest.raises(LemmaViolationError):
             verify_lower_bound_play(GameConfig(3, 3), solver=fake_solver)
@@ -183,23 +180,22 @@ class TestAdaptionInstance:
 class TestAdaptSameColors:
     def test_worked_example(self):
         inst = AdaptionInstance(GameConfig(4, 4), ((1, 2, 3, 4),), (1, 2, 3, 4))
-        assert adapt_secret_same_colors(inst) == (2, 1, 3, 4)
+        assert adapt_secret(inst) == (2, 1, 3, 4)
 
-    def test_requires_square_board(self):
-        inst = AdaptionInstance(GameConfig(2, 3), ((1, 2),), (1, 2))
-        with pytest.raises(ValueError):
-            adapt_secret_same_colors(inst)
+    def test_square_board_draws_from_agreement_colors(self):
+        inst = AdaptionInstance(GameConfig(3, 3), ((1, 2, 3),), (1, 2, 3))
+        assert adapt_secret(inst) == (2, 1, 3)
 
     def test_requires_enough_agreement(self):
         inst = AdaptionInstance(GameConfig(3, 3), ((1, 2, 3),), (1, 3, 2))
         with pytest.raises(ValueError):
-            adapt_secret_same_colors(inst)
+            adapt_secret(inst)
 
     def test_random_instances_keep_postconditions(self):
         rng = random.Random(42)
         for _ in range(200):
             inst = make_same_colors_instance(rng)
-            z = adapt_secret_same_colors(inst)
+            z = adapt_secret(inst)
             validate_code(z, inst.config)
             for q in inst.queries[:-1]:
                 assert black(q, z) == black(q, inst.current_secret)
@@ -211,27 +207,22 @@ class TestAdaptSameColors:
 class TestAdaptSpareColors:
     def test_chain_escapes_into_unused_color(self):
         inst = AdaptionInstance(GameConfig(2, 3), ((2, 3),), (2, 3))
-        assert adapt_secret_spare_colors(inst) == (1, 3)
+        assert adapt_secret(inst) == (1, 3)
 
     def test_chain_closes_a_cycle(self):
         inst = AdaptionInstance(GameConfig(2, 3), ((1, 2),), (1, 2))
-        assert adapt_secret_spare_colors(inst) == (2, 1)
-
-    def test_requires_spare_colors(self):
-        inst = AdaptionInstance(GameConfig(3, 3), ((1, 2, 3),), (1, 2, 3))
-        with pytest.raises(ValueError):
-            adapt_secret_spare_colors(inst)
+        assert adapt_secret(inst) == (2, 1)
 
     def test_requires_agreement_somewhere(self):
         inst = AdaptionInstance(GameConfig(2, 3), ((1, 2),), (2, 1))
         with pytest.raises(ValueError):
-            adapt_secret_spare_colors(inst)
+            adapt_secret(inst)
 
     def test_random_instances_keep_postconditions(self):
         rng = random.Random(43)
         for _ in range(200):
             inst = make_spare_colors_instance(rng)
-            z = adapt_secret_spare_colors(inst)
+            z = adapt_secret(inst)
             validate_code(z, inst.config)
             for q in inst.queries[:-1]:
                 assert black(q, z) == black(q, inst.current_secret)

@@ -2,6 +2,7 @@
 
 import functools
 import math
+import random
 
 import pytest
 
@@ -43,6 +44,17 @@ class ScriptedOracle(CodemakerOracle):
 
     def _respond(self, guess):
         return self.answers.pop(0)
+
+
+class RandomOracle(CodemakerOracle):
+    """Answers uniformly random counts: a codemaker that lies at will."""
+
+    def __init__(self, config, rng):
+        super().__init__(config)
+        self.rng = rng
+
+    def _respond(self, guess):
+        return self.rng.randint(0, self.config.n)
 
 
 def state_for(secret, config=None):
@@ -343,14 +355,14 @@ class TestApplyFoundComponent:
     def test_rejects_refixing_position(self):
         state = state_for((2, 1, 4, 3))
         apply_found_component(state, 2, 2)
-        with pytest.raises(SolverInvariantError):
+        with pytest.raises(InconsistentOracleError):
             apply_found_component(state, 4, 2)
 
     def test_rejects_duplicate_color(self):
         state = state_for((2, 1, 4, 3))
         apply_found_component(state, 2, 2)
         # rotation 4 holds color 1 at position 4 as well
-        with pytest.raises(SolverInvariantError):
+        with pytest.raises(InconsistentOracleError):
             apply_found_component(state, 4, 4)
 
     def test_rejects_spent_rotation(self):
@@ -388,6 +400,17 @@ class TestSolve:
             recovered, transcript = solve(StaticCodemaker(secret, config), config)
             assert recovered == secret
             assert transcript.query_count == j
+
+    def test_lying_oracle_is_never_blamed_on_the_solver(self):
+        # random answers must end in a recovered code or InconsistentOracleError
+        rng = random.Random(4)
+        for _ in range(3000):
+            n = rng.randint(2, 9)
+            config = GameConfig(n, n + rng.randint(0, 2))
+            try:
+                solve(RandomOracle(config, rng), config)
+            except InconsistentOracleError:
+                pass
 
     def test_config_mismatch_rejected(self):
         oracle = StaticCodemaker((2, 1, 3))
