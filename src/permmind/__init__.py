@@ -39,8 +39,6 @@ from .core import (
     rotation,
     rotation_family,
     validate_code,
-    validate_partial,
-    white,
 )
 from .solver import (
     CodemakerOracle,
@@ -104,7 +102,5 @@ __all__ = [
     "select_active_index",
     "solve",
     "validate_code",
-    "validate_partial",
     "verify_lower_bound_play",
-    "white",
 ]

@@ -19,7 +19,7 @@ from .codemaker import (
     all_injective_codes,
     injective_code_count,
 )
-from .core import CapacityError, GameConfig, Transcript, black, rotation, rotation_family
+from .core import CapacityError, GameConfig, Transcript, black, rotation_family
 from .solver import bound_enforced, query_bound, solve
 
 MINIMAX_SOFT_LIMIT = 32
@@ -77,7 +77,6 @@ class VerificationReport:
     query_histogram: dict[int, int] = field(default_factory=dict)
     failures: list[tuple] = field(default_factory=list)
     terminal_swaps: int = 0
-    terminal_swap_first_matches: int = 0
 
     @property
     def ok(self) -> bool:
@@ -102,9 +101,7 @@ def exhaustive_verify(
 
     Failures are collected, not raised, as audit_game reports them.  The
     report also counts the games that needed the degenerate first/last swap
-    in the opening binary search, and in how many of those the swapped-in
-    first peg was itself correct (it never should be; the swap exists
-    because that peg was already proven wrong).
+    in the opening binary search.
     """
     _check_capacity(config, max_states, "exhaustive verification")
     report = VerificationReport(
@@ -124,8 +121,6 @@ def exhaustive_verify(
         for note in transcript.notes:
             if note[0] == "terminal_swap":
                 report.terminal_swaps += 1
-                if rotation(note[1], config)[0] == secret[0]:
-                    report.terminal_swap_first_matches += 1
     return report
 
 

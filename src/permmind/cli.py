@@ -25,9 +25,8 @@ import time
 from fractions import Fraction
 
 from . import __version__
-from .bruteforce import audit_game, exhaustive_verify, minimax_value, minimax_value_naive
+from .bruteforce import audit_game, exhaustive_verify, minimax_value
 from .codemaker import (
-    AdversaryCodemaker,
     LemmaViolationError,
     StaticCodemaker,
     injective_code_count,
@@ -143,10 +142,7 @@ def cmd_exhaustive(args) -> int:
     for queries in sorted(report.query_histogram):
         print(f"  {queries} queries: {report.query_histogram[queries]} secrets")
     if report.terminal_swaps:
-        print(
-            f"  degenerate opening swaps: {report.terminal_swaps} "
-            f"(first peg correct in {report.terminal_swap_first_matches})"
-        )
+        print(f"  degenerate opening swaps: {report.terminal_swaps}")
     print(f"  elapsed: {elapsed:.2f}s")
     if not report.ok:
         for failure in report.failures[:10]:
@@ -243,11 +239,7 @@ def cmd_interactive(args) -> int:
 
 def cmd_minimax(args) -> int:
     config = _board(args)
-    value = (
-        minimax_value_naive(config)
-        if args.naive
-        else minimax_value(config, allow_large=args.allow_large)
-    )
+    value = minimax_value(config, allow_large=args.allow_large)
     print(
         f"n={config.n} k={config.k}: optimal worst case is {value} queries "
         f"over {injective_code_count(config)} codes"
@@ -298,7 +290,6 @@ def build_parser() -> _Parser:
         action="store_true",
         help="search boards past the soft capacity limit",
     )
-    p.add_argument("--naive", action="store_true", help="use the unoptimized reference search")
     p.set_defaults(func=cmd_minimax)
 
     return parser

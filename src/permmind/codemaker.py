@@ -108,10 +108,6 @@ class AdversaryCodemaker(CodemakerOracle):
         super().__init__(config, transcript)
         self.feasible: list[tuple] = list(all_injective_codes(config))
 
-    @property
-    def feasible_count(self) -> int:
-        return len(self.feasible)
-
     def _respond(self, guess: tuple) -> int:
         count, survivors = _kernel.min_black_filter(self.feasible, guess)
         if not survivors:

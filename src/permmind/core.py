@@ -3,9 +3,7 @@ repeated colors.
 
 A code places n pairwise distinct colors from 1..k into n holes.  Feedback
 for a guess is the black count alone: the number of positions where guess and
-secret hold the same color.  The white count (right color, wrong place) is
-never revealed during play but is provided for completeness; for injective
-codes it collapses to shared-colors-minus-black.
+secret hold the same color.
 
 The rotation family sigma^1..sigma^k consists of the right circular shifts of
 (1, 2, ..., k) truncated to the first n entries, so sigma^1 is the identity
@@ -82,42 +80,11 @@ def validate_code(code, config: GameConfig) -> None:
         seen.add(color)
 
 
-def validate_partial(partial, config: GameConfig) -> None:
-    """Like validate_code but entries may be OPEN (0) and only the fixed ones
-    must be distinct."""
-    if len(partial) != config.n:
-        raise InvalidCodeError(
-            "length", f"partial has {len(partial)} entries, expected {config.n}"
-        )
-    seen = set()
-    for pos, color in enumerate(partial, start=1):
-        if color == OPEN:
-            continue
-        if not isinstance(color, int) or not 1 <= color <= config.k:
-            raise InvalidCodeError(
-                "range", f"color {color!r} at position {pos} is outside 1..{config.k}"
-            )
-        if color in seen:
-            raise InvalidCodeError(
-                "duplicate", f"color {color} appears more than once (position {pos})"
-            )
-        seen.add(color)
-
-
 def black(w, x) -> int:
     """Black count: positions where the two codes agree."""
     if len(w) != len(x):
         raise ValueError(f"code length mismatch: {len(w)} != {len(x)}")
     return _kernel.black_count(w, x)
-
-
-def white(w, x) -> int:
-    """Right color in the wrong place.  For injective codes this equals the
-    number of shared colors minus the black count, which agrees with the
-    usual best-alignment definition."""
-    if len(w) != len(x):
-        raise ValueError(f"code length mismatch: {len(w)} != {len(x)}")
-    return len(set(w) & set(x)) - _kernel.black_count(w, x)
 
 
 def black_partial(w, partial) -> int:
@@ -195,6 +162,3 @@ class Transcript:
 
     def queried_events(self) -> list[TranscriptEvent]:
         return [ev for ev in self.events if not ev.derived]
-
-    def derived_events(self) -> list[TranscriptEvent]:
-        return [ev for ev in self.events if ev.derived]

@@ -219,7 +219,7 @@ def find_first(state: SolverState, j: int) -> int:
     r = _successor(j, k)
     rots = state.rotations
     rj, rr = rots[j - 1], rots[r - 1]
-    a, b, m = 1, n, n
+    a, b = 1, n
     while b > a:
         l = (a + b + 1) // 2
         guess = rj[: l - 1] + (rr[0],) + rr[l:]
@@ -228,20 +228,20 @@ def find_first(state: SolverState, j: int) -> int:
             if l < n:
                 swap = rj[:l] + (rr[0],) + rr[l + 1 :]
             else:
-                # Degenerate split: the guess above was rotation j itself, so
-                # swap its first and last pegs.  Sound only because reaching
-                # l == n required an earlier answer proving the prefix wrong;
-                # the exhaustive suite double-checks that via this note.
+                # Degenerate split: the guess above was rotation j itself,
+                # and the zero answer that moved a to n-1 left its one match
+                # at n-1 or n.  Swap its first and last pegs.  A match at
+                # n-1 stays, so the answer is positive.  A match at n means
+                # rj[n-1] == y_n, so rj[0] != y_n, and rj[n-1] != y_1: the
+                # answer is 0.
                 swap = (rr[0],) + rj[1 : n - 1] + (rj[0],)
                 state.transcript.notes.append(("terminal_swap", j))
             s = state.ask(swap)
         if s > 0:
             b = l - 1
-            if b < m:
-                m = b
         else:
             a = l
-    return m
+    return b
 
 
 def _swapped(code: tuple, i: int, j: int) -> tuple:
@@ -257,27 +257,25 @@ def find_first_uniform(state: SolverState) -> int:
     Swapping a pair of identity pegs answers 0 exactly when the identity's
     unique match sits inside the pair.  One more swap against a known-wrong
     position tells which of the two it is.  Costs at most floor(n/2) + 1
-    queries; with an even hole count the last pair needs no probe of its own.
+    queries.
+
+    No secret on an even board answers 1 to every rotation: each position
+    would then match exactly one rotation and each rotation one position,
+    so i -> (i - y_i) mod n would be a bijection onto 0..n-1.  Its values
+    would sum to n(n-1)/2, which is n/2 mod n for even n, yet the i - y_i
+    sum to 0.  Such answers are rejected before anything is asked.
     """
     n = state.config.n
-    if n < 3:
-        raise InconsistentOracleError("uniform rotation counts are impossible on two holes")
+    if n % 2 == 0:
+        raise InconsistentOracleError(
+            f"no secret on {n} holes answers 1 to every rotation"
+        )
     ident = state.rotations[0]
-    pairs = [(2 * t - 1, 2 * t) for t in range(1, n // 2 + 1)]
-    hit = None
-    for idx, pair in enumerate(pairs):
-        if n % 2 == 0 and idx == len(pairs) - 1:
-            # every earlier pair answered nonzero, so the match sits here
-            hit = pair
-            break
-        if state.ask(_swapped(ident, *pair)) == 0:
-            hit = pair
-            break
-    if hit is None:
-        return n  # odd hole count: the unpaired last position is the match
-    p, q = hit
-    w = 3 if p == 1 else 1  # lowest position known to hold a wrong identity peg
-    return p if state.ask(_swapped(ident, p, w)) == 0 else q
+    for p in range(1, n, 2):
+        if state.ask(_swapped(ident, p, p + 1)) == 0:
+            w = 3 if p == 1 else 1  # lowest position known to hold a wrong identity peg
+            return p if state.ask(_swapped(ident, p, w)) == 0 else p + 1
+    return n  # the unpaired last position is the match
 
 
 def find_next(state: SolverState, j: int) -> int:
@@ -310,21 +308,17 @@ def find_next(state: SolverState, j: int) -> int:
         a, b = 1, lj
     else:
         a, b = lr, n
-    m = n
     while b > a:
         l = (a + b + 1) // 2
         if left_side:
             guess = rj[: l - 1] + (c,) + rr[l:lj] + rj[lj:]
         else:
             guess = rr[: lr - 1] + rj[lr - 1 : l - 1] + (c,) + rr[l:]
-        s = state.ask_open(guess)
-        if s > 0:
+        if state.ask_open(guess) > 0:
             b = l - 1
-            if b < m:
-                m = b
         else:
             a = l
-    return m
+    return b
 
 
 def find_next_many_colors(state: SolverState, j: int) -> int:
@@ -339,18 +333,15 @@ def find_next_many_colors(state: SolverState, j: int) -> int:
     r = _successor(j, k)
     rots = state.rotations
     rj, rr = rots[j - 1], rots[r - 1]
-    a, b, m = 1, n, 1
+    a, b = 1, n
     while b > a:
         l = (a + b + 1) // 2
         guess = rr[: l - 1] + rj[l - 1 :]
-        s = state.ask_open(guess)
-        if s > 0:
+        if state.ask_open(guess) > 0:
             a = l
-            if a > m:
-                m = a
         else:
             b = l - 1
-    return m
+    return a
 
 
 def apply_found_component(state: SolverState, j: int, m: int) -> None:
@@ -381,25 +372,20 @@ def endgame(state: SolverState) -> tuple:
     opens = [i for i in range(1, n + 1) if state.partial[i - 1] == OPEN]
     if len(opens) > 2:
         raise SolverInvariantError(f"endgame entered with {len(opens)} open positions")
-    if opens:
-        used = {c for c in state.partial if c != OPEN}
-        live = [j for j in range(1, k + 1) if state.v[j - 1] > 0]
-        options = [
-            sorted({rots[j - 1][i - 1] for j in live} - used) for i in opens
-        ]
-        events = state.transcript.events
-        candidates = []
-        for combo in itertools.product(*options):
-            if len(set(combo)) != len(combo):
-                continue
-            z = list(state.partial)
-            for pos, color in zip(opens, combo):
-                z[pos - 1] = color
-            z = tuple(z)
-            if all(black(z, ev.guess) == ev.black for ev in events):
-                candidates.append(z)
-    else:
-        candidates = [tuple(state.partial)]
+    used = {c for c in state.partial if c != OPEN}
+    live = [j for j in range(1, k + 1) if state.v[j - 1] > 0]
+    options = [sorted({rots[j - 1][i - 1] for j in live} - used) for i in opens]
+    events = state.transcript.events
+    candidates = []
+    for combo in itertools.product(*options):
+        if len(set(combo)) != len(combo):
+            continue
+        z = list(state.partial)
+        for pos, color in zip(opens, combo):
+            z[pos - 1] = color
+        z = tuple(z)
+        if all(black(z, ev.guess) == ev.black for ev in events):
+            candidates.append(z)
     candidates.sort()
     if not candidates:
         raise InconsistentOracleError("no completion matches the answers given")

@@ -9,7 +9,6 @@ import random
 import time
 
 from permmind import (
-    AdversaryCodemaker,
     GameConfig,
     StaticCodemaker,
     all_injective_codes,
@@ -69,7 +68,10 @@ def test_criterion_02_exhaustive_square_boards():
         assert report.max_queries <= report.bound
         maxima[n] = (report.max_queries, report.bound)
     elapsed = time.perf_counter() - started
-    assert maxima[8][0] <= 34
+    # the observed maxima the README table lists
+    assert {n: worst for n, (worst, _) in maxima.items()} == {
+        4: 10, 5: 15, 6: 22, 7: 28, 8: 34
+    }
     assert elapsed < 120, f"took {elapsed:.1f}s"
     _report(f"criterion 2 PASS: square boards {maxima} in {elapsed:.1f}s")
 
@@ -82,7 +84,10 @@ def test_criterion_03_exhaustive_wide_boards():
         assert report.ok, report.failures[:3]
         assert report.max_queries <= report.bound
         results[(n, k)] = (report.max_queries, report.bound)
-    assert results[(4, 8)][0] <= 13
+    # the observed maxima the README table lists
+    assert {board: worst for board, (worst, _) in results.items()} == {
+        (3, 5): 8, (4, 6): 11, (4, 8): 13
+    }
     _report(f"criterion 3 PASS: wide boards {results}")
 
 
@@ -108,50 +113,24 @@ def test_criterion_04_large_boards_sampled():
     _report(f"criterion 4 PASS: large boards {maxima} in {elapsed:.1f}s")
 
 
-class _SizeTrackingAdversary(AdversaryCodemaker):
-    def __init__(self, config):
-        super().__init__(config)
-        self.sizes = []
-
-    def _respond(self, guess):
-        answer = super()._respond(guess)
-        self.sizes.append(self.feasible_count)
-        return answer
-
-
 def test_criterion_05_adversary_square_boards():
     """The adversary forces at least n queries on n = k in 3..6, answering
-    at most m at query m, and its candidate set never empties."""
+    at most m at query m, and its candidate set never empties
+    (verify_lower_bound_play raises otherwise)."""
     results = {}
     for n in range(3, 7):
-        config = GameConfig(n, n)
-        oracle = _SizeTrackingAdversary(config)
-        secret, transcript = solve(oracle, config)
-        assert oracle.feasible == [secret]
-        assert transcript.query_count >= n
-        assert all(size > 0 for size in oracle.sizes)
-        for m, event in enumerate(transcript.queried_events(), start=1):
-            assert event.black <= m, (n, m, event.black)
-        queries, _ = verify_lower_bound_play(config)
+        queries, _ = verify_lower_bound_play(GameConfig(n, n))
         results[n] = queries
     _report(f"criterion 5 PASS: adversary queries {results}")
 
 
 def test_criterion_06_adversary_wide_boards():
     """The adversary forces at least k queries on wide boards, never
-    conceding a full match before query k."""
+    conceding a full match before query k (verify_lower_bound_play raises
+    otherwise)."""
     results = {}
     for n, k in ((2, 3), (3, 5)):
-        config = GameConfig(n, k)
-        oracle = _SizeTrackingAdversary(config)
-        secret, transcript = solve(oracle, config)
-        assert oracle.feasible == [secret]
-        assert transcript.query_count >= k
-        assert all(size > 0 for size in oracle.sizes)
-        for m, event in enumerate(transcript.queried_events(), start=1):
-            if m < k:
-                assert event.black < n, (n, k, m, event.black)
-        queries, _ = verify_lower_bound_play(config)
+        queries, _ = verify_lower_bound_play(GameConfig(n, k))
         results[(n, k)] = queries
     _report(f"criterion 6 PASS: adversary queries {results}")
 

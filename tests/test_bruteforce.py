@@ -77,7 +77,6 @@ class TestExhaustiveVerify:
         assert report.bound_enforced
         assert sum(report.query_histogram.values()) == 24
         assert report.terminal_swaps == 8
-        assert report.terminal_swap_first_matches == 0
         assert "ok" in report.summary()
 
     def test_wide_board(self):
@@ -159,6 +158,10 @@ class TestMinimax:
     def test_naive_guard(self):
         with pytest.raises(CapacityError):
             minimax_value_naive(GameConfig(4, 4))
+
+    def test_naive_huge_board_refused_before_enumerating(self):
+        with pytest.raises(CapacityError, match="tiny boards only"):
+            minimax_value_naive(GameConfig(12, 12))
 
     def test_solver_stays_within_sight_of_optimal(self):
         # the strategy is built for asymptotics, but on tiny boards it

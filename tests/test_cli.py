@@ -3,15 +3,14 @@
 import io
 import json
 import random
-from fractions import Fraction
-
-import pytest
 
 from permmind import (
     GameConfig,
+    InconsistentOracleError,
     LemmaViolationError,
     SolverInvariantError,
     StaticCodemaker,
+    exhaustive_verify,
     random_injective_code,
     solve,
 )
@@ -113,7 +112,23 @@ class TestExhaustiveCommand:
         assert code == 0
         assert "24 secrets" in out
         assert "max 10 queries" in out
-        assert "degenerate opening swaps: 8 (first peg correct in 0)" in out
+        assert "  degenerate opening swaps: 8\n" in out
+
+    def test_failures_exit_2_on_stderr(self, capsys, monkeypatch):
+        def wrong(oracle, config):
+            return (1, 2, 3), solve(oracle, config)[1]
+
+        monkeypatch.setattr(
+            cli,
+            "exhaustive_verify",
+            lambda config, max_states=None: exhaustive_verify(config, wrong, max_states),
+        )
+        code, out, err = run(["exhaustive", "--n", "3"], capsys)
+        assert code == 2
+        assert "5 FAILURES" in out
+        lines = err.splitlines()
+        assert len(lines) == 5
+        assert all(line.startswith("  FAILURE: ('wrong_secret', ") for line in lines)
 
     def test_capacity_guard(self, capsys):
         code, _, err = run(["exhaustive", "--n", "4", "--max-states", "3"], capsys)
@@ -142,6 +157,15 @@ class TestAdversaryCommand:
         assert code == 3
         assert "ALARM" in err
 
+    def test_inconsistent_exit_code(self, capsys, monkeypatch):
+        def lie(config, max_states=None):
+            raise InconsistentOracleError("adversary feasible set emptied")
+
+        monkeypatch.setattr(cli, "verify_lower_bound_play", lie)
+        code, _, err = run(["adversary", "--n", "3"], capsys)
+        assert code == 2
+        assert err == "permmind: inconsistent: adversary feasible set emptied\n"
+
 
 class TestBenchCommand:
     def test_csv_shape_and_determinism(self, tmp_path, capsys):
@@ -157,19 +181,13 @@ class TestBenchCommand:
         assert fields[:4] == ["6", "6", "5", "3"]
         assert fields[7] == "true"
 
-    def test_mean_is_exact(self, capsys):
-        code, out, _ = run(["bench", "--n", "5", "--samples", "4", "--seed", "9"], capsys)
+    def test_readme_row(self, capsys):
+        code, out, _ = run(["bench", "--n", "8", "--samples", "20", "--seed", "3"], capsys)
         assert code == 0
-        row = out.splitlines()[1].split(",")
-        config = GameConfig(5, 5)
-        rng = random.Random(9)
-        counts = []
-        for _ in range(4):
-            secret = random_injective_code(config, rng)
-            _, transcript = solve(StaticCodemaker(secret, config), config)
-            counts.append(transcript.query_count)
-        assert Fraction(row[5]) == Fraction(sum(counts), len(counts))
-        assert int(row[4]) == max(counts)
+        assert out == (
+            "n,k,samples,seed,max_queries,mean_queries,bound,bound_ok\n"
+            "8,8,20,3,31,577/20,34,true\n"
+        )
 
     def test_rejects_zero_samples(self, capsys):
         code, _, err = run(["bench", "--n", "4", "--samples", "0", "--seed", "1"], capsys)
@@ -233,23 +251,15 @@ class TestMinimaxCommand:
         assert code == 0
         assert "optimal worst case is 4 queries" in out
 
-    def test_naive_flag(self, capsys):
-        code, out, _ = run(["minimax", "--n", "2", "--naive"], capsys)
-        assert code == 0
-        assert "is 2 queries" in out
-
     def test_capacity_refusal(self, capsys):
         code, _, err = run(["minimax", "--n", "3", "--k", "5"], capsys)
         assert code == 1
         assert "allow_large" in err
 
-    @pytest.mark.parametrize(
-        "flags,message", [([], "479001600 codes is out of reach"), (["--naive"], "tiny boards only")]
-    )
-    def test_huge_board_refused_before_enumerating(self, capsys, flags, message):
-        code, _, err = run(["minimax", "--n", "12", "--k", "12", *flags], capsys)
+    def test_huge_board_refused_before_enumerating(self, capsys):
+        code, _, err = run(["minimax", "--n", "12", "--k", "12"], capsys)
         assert code == 1
-        assert message in err
+        assert "479001600 codes is out of reach" in err
 
     def test_allow_large(self, capsys):
         code, out, _ = run(["minimax", "--n", "3", "--k", "5", "--allow-large"], capsys)

@@ -19,7 +19,6 @@ from permmind import (
     black,
     injective_code_count,
     random_injective_code,
-    solve,
     validate_code,
     verify_lower_bound_play,
 )
@@ -83,11 +82,11 @@ class TestAdversary:
     def test_feasible_shrinks_and_never_empties(self):
         config = GameConfig(4, 4)
         oracle = AdversaryCodemaker(config)
-        sizes = [oracle.feasible_count]
+        sizes = [len(oracle.feasible)]
         for guess in ((1, 2, 3, 4), (2, 1, 4, 3), (3, 4, 1, 2), (4, 3, 2, 1)):
             answer = oracle.answer(guess)
             assert 0 <= answer <= 4
-            sizes.append(oracle.feasible_count)
+            sizes.append(len(oracle.feasible))
         assert sizes[0] == 24
         assert all(s > 0 for s in sizes)
         assert all(b <= a for a, b in zip(sizes, sizes[1:]))
@@ -128,7 +127,7 @@ class TestAdversary:
         with pytest.raises(CapacityError):
             AdversaryCodemaker(GameConfig(4, 4))
         monkeypatch.setenv("PERMMIND_MAX_STATES", "100")
-        assert AdversaryCodemaker(GameConfig(4, 4)).feasible_count == 24
+        assert len(AdversaryCodemaker(GameConfig(4, 4)).feasible) == 24
 
     def test_audit_rejects_unfinished_game(self):
         def lazy_solver(oracle, config):

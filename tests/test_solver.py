@@ -16,6 +16,7 @@ from permmind import (
     all_injective_codes,
     apply_found_component,
     black,
+    black_partial,
     bound_enforced,
     ceil_log2,
     endgame,
@@ -55,6 +56,18 @@ class RandomOracle(CodemakerOracle):
 
     def _respond(self, guess):
         return self.rng.randint(0, self.config.n)
+
+
+class FixedOnlyOracle(CodemakerOracle):
+    """Counts only the agreements with the state's fixed positions, so no
+    search ever sees an open match: a codemaker that denies every one."""
+
+    def __init__(self, state):
+        super().__init__(state.config)
+        self.state = state
+
+    def _respond(self, guess):
+        return black_partial(guess, self.state.partial)
 
 
 def state_for(secret, config=None):
@@ -250,38 +263,18 @@ class TestFindFirstUniform:
                 for y in all_injective_codes(config)
             )
 
-    def test_even_branch_with_scripted_answers(self):
-        # unreachable through real boards, still exercised: on an even board
-        # the last pair is taken without its own probe
-        config = GameConfig(4, 4)
+    @pytest.mark.parametrize("n", [2, 4, 6])
+    def test_even_boards_rejected_before_asking(self, n):
+        # every v == 1 is impossible on an even board, so the search raises
+        # at once: the oracle has no answers to give
+        config = GameConfig(n, n)
         state = SolverState(
-            config=config,
-            oracle=ScriptedOracle(config, [2, 0]),
-            partial=[OPEN] * 4,
+            config=config, oracle=ScriptedOracle(config, []), partial=[OPEN] * n
         )
-        state.v = [1, 1, 1, 1]
-        assert find_first_uniform(state) == 3
-        assert [ev.guess for ev in state.transcript.events] == [
-            (2, 1, 3, 4),  # pair (1,2) probe, nonzero: match not here
-            (3, 2, 1, 4),  # pair (3,4) taken free; swap against position 1
-        ]
-        config = GameConfig(4, 4)
-        state = SolverState(
-            config=config,
-            oracle=ScriptedOracle(config, [2, 1]),
-            partial=[OPEN] * 4,
-        )
-        state.v = [1, 1, 1, 1]
-        assert find_first_uniform(state) == 4
-
-    def test_rejects_two_holes(self):
-        config = GameConfig(2, 2)
-        state = SolverState(
-            config=config, oracle=ScriptedOracle(config, []), partial=[OPEN] * 2
-        )
-        state.v = [1, 1]
+        state.v = [1] * n
         with pytest.raises(InconsistentOracleError):
             find_first_uniform(state)
+        assert state.transcript.events == []
 
 
 class TestFindNext:
@@ -318,6 +311,18 @@ class TestFindNext:
         state = state_for((2, 1, 4, 3))
         with pytest.raises(SolverInvariantError):
             find_next(state, 2)
+
+    def test_denied_open_matches_land_on_the_pivot(self):
+        # no positive answer on the left side leaves the bound at l_j, where
+        # rotation j holds the pivot color, so placing it is refused
+        state = state_for((7, 1, 4, 3, 2, 8, 5, 6))
+        state.partial = [OPEN, OPEN, OPEN, OPEN, 2, OPEN, 5, 6]
+        state.v = [0, 2, 1, 0, 0, 0, 1, 1]
+        state.oracle = FixedOnlyOracle(state)
+        m = find_next(state, 3)
+        assert state.rotations[2][m - 1] == 2
+        with pytest.raises(InconsistentOracleError):
+            apply_found_component(state, 3, m)
 
 
 class TestFindNextManyColors:
@@ -376,6 +381,22 @@ class TestEndgame:
         state = state_for((2, 1, 4, 3))
         with pytest.raises(SolverInvariantError):
             endgame(state)
+
+    def test_fully_fixed_code_is_asked_once(self):
+        state = state_for((2, 1, 4, 3))
+        state.partial = [2, 1, 4, 3]
+        before = state.transcript.query_count
+        assert endgame(state) == (2, 1, 4, 3)
+        assert state.transcript.query_count == before + 1
+
+    def test_fully_fixed_code_is_checked_against_answers(self):
+        # rotation 1 answered 0, but (1, 2, 4, 3) agrees with it twice
+        state = state_for((2, 1, 4, 3))
+        state.partial = [1, 2, 4, 3]
+        before = state.transcript.query_count
+        with pytest.raises(InconsistentOracleError, match="no completion"):
+            endgame(state)
+        assert state.transcript.query_count == before
 
     def test_contradictory_answers_detected(self):
         # both remaining candidates are denied: nothing can be the secret

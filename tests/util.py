@@ -6,18 +6,6 @@ from __future__ import annotations
 from permmind import AdaptionInstance, GameConfig
 
 
-def brute_white(w, x) -> int:
-    """Right color, wrong place, counted pair by pair.  For codes without
-    repeated colors every shared color pairs up exactly once, so this is the
-    usual best-alignment white count."""
-    return sum(
-        1
-        for i in range(len(w))
-        for j in range(len(x))
-        if i != j and w[i] == x[j]
-    )
-
-
 def _random_injective(rng, n: int, k: int) -> tuple:
     return tuple(rng.sample(range(1, k + 1), n))
 
