@@ -1,21 +1,43 @@
 """Counting kernels: the black-count comparisons every other module pays for.
 
 Per-code counts (`black_count`, `partial_match_count`) serve the solver's
-per-query path; board-wide ones (`min_black_filter`, `partition_by_black`)
-serve the adversary and minimax over whole feasible sets.  Codes may be
-tuples or lists.  Length validation happens in the callers, not here.
-
-The board-wide kernels count inline with `sum(map(eq, ...))` instead of
-calling `black_count`: over thousands of small codes that is faster, and it
-keeps them free of calls through this module's globals.  `active_backend`
-names the implementation for benchmark metadata; there is only this one.
+per-query path and take tuples or lists.  `partition_by_black` serves
+minimax over many small feasible sets of tuples, and counts inline with
+`sum(map(eq, ...))` instead of calling `black_count`: over thousands of small
+codes that is faster, and it keeps it free of calls through this module's
+globals.  The adversary's kernels, `code_matrix` and `min_black_filter`, work
+on one numpy matrix holding a code per row; numpy is imported inside them
+(`_numpy`), so importing permmind never loads it.  Length validation happens
+in the callers, not here.  `active_backend` names the implementation for
+benchmark metadata; there is only this one.
 """
 
+import os
 from operator import eq
 
 OPEN = 0
 
 active_backend = "pure"
+
+
+def _numpy():
+    """numpy, imported on first use.
+
+    numpy's OpenBLAS starts a worker thread per further CPU at load, and each
+    one busy-waits for about 0.2 s of CPU before it sleeps, competing with the
+    caller's own work.  These kernels use no BLAS, so the first import runs
+    with OPENBLAS_NUM_THREADS=1, unless the environment already sets it; the
+    environment is restored afterwards.
+    """
+    if "OPENBLAS_NUM_THREADS" in os.environ:
+        import numpy
+    else:
+        os.environ["OPENBLAS_NUM_THREADS"] = "1"
+        try:
+            import numpy
+        finally:
+            del os.environ["OPENBLAS_NUM_THREADS"]
+    return numpy
 
 
 def black_count(a, b):
@@ -36,15 +58,45 @@ def partial_match_count(code, partial):
     return count
 
 
-def min_black_filter(members, guess):
-    """Smallest black count any member scores against `guess`, plus the members
-    that score exactly that, in input order.  Raises on an empty member list."""
-    if not members:
-        raise ValueError("empty member list")
-    counts = [sum(map(eq, m, guess)) for m in members]
-    best = min(counts)
-    survivors = [m for m, c in zip(members, counts) if c == best]
-    return best, survivors
+def code_matrix(n, k):
+    """Every code of n distinct colors from 1..k, one per row of an (N, n)
+    matrix of the smallest unsigned dtype holding k, in the lexicographic
+    order of `itertools.permutations(range(1, k + 1), n)`.
+
+    Grows the codes one column at a time.  Each prefix row is followed by
+    every color it has not used yet, in increasing order; `unused` holds
+    those colors, one sorted row per prefix.
+    """
+    np = _numpy()
+
+    dtype = np.min_scalar_type(k)
+    matrix = np.empty((1, 0), dtype=dtype)
+    unused = np.arange(1, k + 1, dtype=dtype)[None, :]
+    for width in range(n):
+        choices = k - width
+        grown = np.empty((len(matrix), choices, width + 1), dtype=dtype)
+        grown[:, :, :width] = matrix[:, None, :]
+        grown[:, :, width] = unused
+        matrix = grown.reshape(-1, width + 1)
+        if width + 1 < n:
+            # the child taking its parent's j-th unused color keeps the others
+            keep = np.arange(choices - 1)
+            keep = keep + (keep >= np.arange(choices)[:, None])
+            unused = unused[:, keep].reshape(-1, choices - 1)
+    return matrix
+
+
+def min_black_filter(matrix, guess):
+    """Smallest black count any row of `matrix` scores against `guess`, as a
+    plain int, plus the rows that score exactly that, in input order.  Raises
+    on an empty matrix."""
+    np = _numpy()
+
+    if not len(matrix):
+        raise ValueError("empty member matrix")
+    counts = np.count_nonzero(matrix == np.asarray(guess, dtype=matrix.dtype), axis=1)
+    best = counts.min()
+    return int(best), matrix[counts == best]
 
 
 def partition_by_black(members, guess):

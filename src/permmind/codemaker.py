@@ -100,17 +100,19 @@ class AdversaryCodemaker(CodemakerOracle):
 
     Keeps the feasible set explicitly, so nothing it says is ever a lie about
     every remaining secret, and the game cannot end until the set is a
-    singleton (only then can an answer reach n).
+    singleton (only then can an answer reach n).  The set is a numpy matrix
+    with one code per row, in lexicographic order (`_kernel.code_matrix`):
+    n bytes per code while k <= 255.
     """
 
     def __init__(self, config: GameConfig, transcript=None, max_states: int | None = None):
         _check_capacity(config, max_states, "adversary play")
         super().__init__(config, transcript)
-        self.feasible: list[tuple] = list(all_injective_codes(config))
+        self.feasible = _kernel.code_matrix(config.n, config.k)
 
     def _respond(self, guess: tuple) -> int:
         count, survivors = _kernel.min_black_filter(self.feasible, guess)
-        if not survivors:
+        if not len(survivors):
             raise InconsistentOracleError("adversary feasible set emptied")
         self.feasible = survivors
         return count
@@ -168,9 +170,12 @@ def adapt_secret(instance: AdaptionInstance) -> tuple:
 
     The board picks the pool.  For k == n it is the colors on which the
     current query and secret agree, and there must be at least m+1 of them;
-    every color is in the secret, so only a cycle can end the walk.  For
-    k > n it is every color, the two codes must agree somewhere, and an
-    untried color exists at every position as long as m < k.
+    every color is in the secret, so only a cycle can end the walk.  The
+    earlier counts are sure to be kept when no earlier query agrees with the
+    secret on any agreement position, because the rewrite touches only those
+    positions.  For k > n the pool is every color, the current query must be
+    the current secret, and an untried color exists at every position as
+    long as m < k.  Both required premises raise ValueError when they fail.
     """
     config = instance.config
     y = instance.current_secret
@@ -180,14 +185,13 @@ def adapt_secret(instance: AdaptionInstance) -> tuple:
             raise ValueError(
                 f"need at least {instance.m + 1} agreeing colors, have {len(pool)}"
             )
+    elif instance.current_query != y:
+        raise ValueError("with spare colors the current query must be the current secret")
     else:
         pool = set(range(1, config.k + 1))
     start = next(
-        (i for i in range(1, config.n + 1) if y[i - 1] == instance.current_query[i - 1]),
-        None,
+        i for i in range(1, config.n + 1) if y[i - 1] == instance.current_query[i - 1]
     )
-    if start is None:
-        raise ValueError("current query and secret agree nowhere")
     unused = set(range(1, config.k + 1)) - set(y)
 
     def untried(position: int) -> int:
@@ -227,7 +231,7 @@ def verify_lower_bound_play(
     """
     oracle = AdversaryCodemaker(config, max_states=max_states)
     secret, _ = solver(oracle, config)
-    if oracle.feasible != [secret]:
+    if len(oracle.feasible) != 1 or tuple(map(int, oracle.feasible[0])) != secret:
         raise InconsistentOracleError(
             "game ended before the feasible set was a verified singleton"
         )

@@ -1,6 +1,7 @@
 """Oracles, the adversarial codemaker, and secret adaption."""
 
 import random
+from itertools import repeat
 
 import pytest
 
@@ -8,6 +9,7 @@ from permmind import (
     AdaptionInstance,
     AdversaryCodemaker,
     CapacityError,
+    CodemakerOracle,
     GameConfig,
     InconsistentOracleError,
     InvalidCodeError,
@@ -19,9 +21,11 @@ from permmind import (
     black,
     injective_code_count,
     random_injective_code,
+    solve,
     validate_code,
     verify_lower_bound_play,
 )
+from permmind._kernel import black_count
 from util import make_same_colors_instance, make_spare_colors_instance
 
 
@@ -72,6 +76,21 @@ class TestEnumeration:
         assert any(color > 4 for code in a for color in code)
 
 
+class _TupleAdversary(CodemakerOracle):
+    """Reference adversary: the feasible set as a list of tuples, filtered by
+    the smallest `black_count`."""
+
+    def __init__(self, config):
+        super().__init__(config)
+        self.feasible = list(all_injective_codes(config))
+
+    def _respond(self, guess):
+        counts = list(map(black_count, self.feasible, repeat(guess)))
+        best = min(counts)
+        self.feasible = [code for code, c in zip(self.feasible, counts) if c == best]
+        return best
+
+
 class TestAdversary:
     def test_three_hole_game_trace(self):
         config = GameConfig(3, 3)
@@ -117,6 +136,17 @@ class TestAdversary:
         for m, answer in trace:
             if m < k:
                 assert answer < n
+
+    def test_wide_colors_play_like_the_tuple_reference(self):
+        # k > 255 stores the codes as uint16
+        config = GameConfig(2, 300)
+        _, played = solve(AdversaryCodemaker(config), config)
+        _, expected = solve(_TupleAdversary(config), config)
+        assert played.events == expected.events
+
+    @pytest.mark.parametrize("n,k,queries", [(9, 9, 37), (6, 12, 23)])
+    def test_large_board_lower_bound_play(self, n, k, queries):
+        assert verify_lower_bound_play(GameConfig(n, k))[0] == queries
 
     def test_capacity_guard(self):
         with pytest.raises(CapacityError):
@@ -214,6 +244,13 @@ class TestAdaptSpareColors:
 
     def test_requires_agreement_somewhere(self):
         inst = AdaptionInstance(GameConfig(2, 3), ((1, 2),), (2, 1))
+        with pytest.raises(ValueError):
+            adapt_secret(inst)
+
+    def test_requires_query_to_be_the_secret(self):
+        # the walk would pick the secret's own color at position 2 and hand
+        # the secret back unchanged, with the count still 4
+        inst = AdaptionInstance(GameConfig(6, 12), ((1, 2, 3, 4, 5, 6),), (2, 1, 3, 4, 5, 6))
         with pytest.raises(ValueError):
             adapt_secret(inst)
 
