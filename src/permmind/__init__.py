@@ -15,7 +15,6 @@ from .bruteforce import (
     minimax_value_naive,
 )
 from .codemaker import (
-    AdaptionInstance,
     AdversaryCodemaker,
     LemmaViolationError,
     StaticCodemaker,
@@ -62,7 +61,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "OPEN",
-    "AdaptionInstance",
     "AdversaryCodemaker",
     "CapacityError",
     "CodemakerOracle",

@@ -89,12 +89,15 @@ def code_matrix(n, k):
 def min_black_filter(matrix, guess):
     """Smallest black count any row of `matrix` scores against `guess`, as a
     plain int, plus the rows that score exactly that, in input order.  Raises
-    on an empty matrix."""
+    on an empty matrix.  Counts column by column into the smallest dtype
+    holding n, so the only scratch is two length-N vectors."""
     np = _numpy()
 
     if not len(matrix):
         raise ValueError("empty member matrix")
-    counts = np.count_nonzero(matrix == np.asarray(guess, dtype=matrix.dtype), axis=1)
+    counts = np.zeros(len(matrix), dtype=np.min_scalar_type(matrix.shape[1]))
+    for column, color in zip(matrix.T, guess):
+        counts += column == color
     best = counts.min()
     return int(best), matrix[counts == best]
 

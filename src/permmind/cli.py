@@ -172,10 +172,11 @@ def cmd_bench(args) -> int:
         return 1
     rng = random.Random(args.seed)
     secrets = [random_injective_code(config, rng) for _ in range(args.samples)]
-    counts = []
+    counts, failures = [], []
     for secret in secrets:
-        _, transcript = solve(StaticCodemaker(secret, config), config)
+        recovered, transcript = solve(StaticCodemaker(secret, config), config)
         counts.append(transcript.query_count)
+        failures += audit_game(secret, recovered, transcript, transcript.query_count)
     bound = query_bound(config)
     max_queries = max(counts)
     mean = Fraction(sum(counts), len(counts))
@@ -196,7 +197,9 @@ def cmd_bench(args) -> int:
     writer = csv.writer(buffer, lineterminator="\n")
     writer.writerows(rows)
     _write(buffer.getvalue(), args.out)
-    return 0
+    for failure in failures:
+        print(f"verification failed: {failure}", file=sys.stderr)
+    return 2 if failures else 0
 
 
 class HumanCodemaker(CodemakerOracle):

@@ -9,12 +9,13 @@ when k > n; `verify_lower_bound_play` runs such a game and checks, on the
 adversary's transcript, the answer floors the argument rests on (answer at
 query m is at most m when k == n, and below n before query k when k > n).
 
-The adaption procedure is the constructive heart of that argument: given
-the query history and a current notional secret, `adapt_secret` builds
-another secret that keeps every earlier black count but strictly lowers the
-latest one, proving the adversary could have answered lower all along.  It
-is one chain walk over two color pools: the colors on which the current
-query and secret agree when k == n, and every color when k > n.
+The adaption procedure is the constructive heart of that argument:
+`adapt_secret(config, queries, secret)` takes the query history and a
+current notional secret and builds another secret that keeps every earlier
+black count but strictly lowers the latest one, proving the adversary could
+have answered lower all along.  It is one chain walk over two color pools:
+the colors on which the current query and secret agree when k == n, and
+every color when k > n.
 """
 
 from __future__ import annotations
@@ -22,7 +23,6 @@ from __future__ import annotations
 import itertools
 import math
 import os
-from dataclasses import dataclass
 
 from . import _kernel
 from .core import (
@@ -39,16 +39,6 @@ DEFAULT_STATE_LIMIT = 10**6
 
 class LemmaViolationError(RuntimeError):
     """An adversary answer broke a floor the lower-bound argument relies on."""
-
-
-def state_limit(override: int | None = None) -> int:
-    """Capacity guard for full enumerations; PERMMIND_MAX_STATES overrides."""
-    if override is not None:
-        return override
-    env = os.environ.get("PERMMIND_MAX_STATES")
-    if env:
-        return int(env)
-    return DEFAULT_STATE_LIMIT
 
 
 def injective_code_count(config: GameConfig) -> int:
@@ -71,7 +61,9 @@ def random_injective_code(config: GameConfig, rng) -> tuple:
 
 def _check_capacity(config: GameConfig, max_states: int | None, what: str) -> int:
     count = injective_code_count(config)
-    limit = state_limit(max_states)
+    limit = max_states
+    if limit is None:
+        limit = int(os.environ.get("PERMMIND_MAX_STATES") or DEFAULT_STATE_LIMIT)
     if count > limit:
         raise CapacityError(
             f"{what} would enumerate {count} codes, limit is {limit} "
@@ -83,12 +75,12 @@ def _check_capacity(config: GameConfig, max_states: int | None, what: str) -> in
 class StaticCodemaker(CodemakerOracle):
     """Honest oracle for a fixed secret."""
 
-    def __init__(self, secret, config: GameConfig | None = None, transcript=None):
+    def __init__(self, secret, config: GameConfig | None = None):
         secret = tuple(secret)
         if config is None:
             config = GameConfig(len(secret), max(len(secret), max(secret)))
         validate_code(secret, config)
-        super().__init__(config, transcript)
+        super().__init__(config)
         self.secret = secret
 
     def _respond(self, guess: tuple) -> int:
@@ -105,9 +97,9 @@ class AdversaryCodemaker(CodemakerOracle):
     n bytes per code while k <= 255.
     """
 
-    def __init__(self, config: GameConfig, transcript=None, max_states: int | None = None):
+    def __init__(self, config: GameConfig, max_states: int | None = None):
         _check_capacity(config, max_states, "adversary play")
-        super().__init__(config, transcript)
+        super().__init__(config)
         self.feasible = _kernel.code_matrix(config.n, config.k)
 
     def _respond(self, guess: tuple) -> int:
@@ -118,48 +110,12 @@ class AdversaryCodemaker(CodemakerOracle):
         return count
 
 
-@dataclass(frozen=True)
-class AdaptionInstance:
-    """Query history plus the secret currently pretended.
-
-    `queries` holds x^1..x^m in order (the last one is the current query);
-    `current_secret` is y^m.  `adapt_secret` consumes this.
-    """
-
-    config: GameConfig
-    queries: tuple
-    current_secret: tuple
-
-    def __post_init__(self):
-        if not self.queries:
-            raise ValueError("need at least one query")
-        for q in self.queries:
-            validate_code(q, self.config)
-        validate_code(self.current_secret, self.config)
-
-    @property
-    def m(self) -> int:
-        return len(self.queries)
-
-    @property
-    def current_query(self) -> tuple:
-        return self.queries[-1]
-
-    def agreement_colors(self) -> set:
-        """Colors sitting on the same position in the current query and secret."""
-        return {
-            c for c, x in zip(self.current_secret, self.current_query) if c == x
-        }
-
-    def allowed_colors_at(self, position: int) -> set:
-        """Colors never tried at `position` (1-based) by any recorded query."""
-        tried = {q[position - 1] for q in self.queries}
-        return set(range(1, self.config.k + 1)) - tried
-
-
-def adapt_secret(instance: AdaptionInstance) -> tuple:
+def adapt_secret(config: GameConfig, queries, secret) -> tuple:
     """Replacement secret that keeps all earlier black counts and strictly
     lowers the current one.
+
+    `queries` holds x^1..x^m, the last one current, and `secret` is y^m.  An
+    empty history raises ValueError and an invalid code InvalidCodeError.
 
     Starts at the first position where the current query and secret agree
     and walks a chain: each position takes the smallest color from the pool
@@ -177,25 +133,26 @@ def adapt_secret(instance: AdaptionInstance) -> tuple:
     the current secret, and an untried color exists at every position as
     long as m < k.  Both required premises raise ValueError when they fail.
     """
-    config = instance.config
-    y = instance.current_secret
+    if not queries:
+        raise ValueError("need at least one query")
+    for q in queries:
+        validate_code(q, config)
+    validate_code(secret, config)
+    y, current, m = secret, queries[-1], len(queries)
+    palette = set(range(1, config.k + 1))
     if config.k == config.n:
-        pool = instance.agreement_colors()
-        if len(pool) < instance.m + 1:
-            raise ValueError(
-                f"need at least {instance.m + 1} agreeing colors, have {len(pool)}"
-            )
-    elif instance.current_query != y:
+        pool = {c for c, x in zip(y, current) if c == x}
+        if len(pool) < m + 1:
+            raise ValueError(f"need at least {m + 1} agreeing colors, have {len(pool)}")
+    elif current != y:
         raise ValueError("with spare colors the current query must be the current secret")
     else:
-        pool = set(range(1, config.k + 1))
-    start = next(
-        i for i in range(1, config.n + 1) if y[i - 1] == instance.current_query[i - 1]
-    )
-    unused = set(range(1, config.k + 1)) - set(y)
+        pool = palette
+    start = next(i for i in range(1, config.n + 1) if y[i - 1] == current[i - 1])
+    unused = palette - set(y)
 
     def untried(position: int) -> int:
-        options = instance.allowed_colors_at(position) & pool
+        options = pool - {q[position - 1] for q in queries}
         if not options:
             raise ValueError(f"no replacement color available at position {position}")
         return min(options)

@@ -51,9 +51,9 @@ class CodemakerOracle(ABC):
     transcript shared with the solver.
     """
 
-    def __init__(self, config: GameConfig, transcript: Transcript | None = None):
+    def __init__(self, config: GameConfig):
         self.config = config
-        self.transcript = transcript if transcript is not None else Transcript(config)
+        self.transcript = Transcript(config)
 
     def answer(self, guess) -> int:
         guess = tuple(guess)
@@ -116,12 +116,6 @@ def _successor(j: int, k: int) -> int:
     return j + 1 if j < k else 1
 
 
-def _resolve_config(oracle: CodemakerOracle, config: GameConfig | None) -> GameConfig:
-    if config is not None and config != oracle.config:
-        raise ValueError(f"config {config} does not match oracle config {oracle.config}")
-    return oracle.config
-
-
 def ceil_log2(n: int) -> int:
     return (n - 1).bit_length()
 
@@ -150,14 +144,14 @@ def bound_enforced(config: GameConfig) -> bool:
     return n >= 4
 
 
-def initial_phase(oracle: CodemakerOracle, config: GameConfig | None = None) -> SolverState:
+def initial_phase(oracle: CodemakerOracle) -> SolverState:
     """Query rotations 1..k-1 and derive the last count from the family sum.
 
     If some rotation answers n the secret is already pinned: the remaining
     family counts are then derived instead of queried and the state comes
     back with `solved_secret` set.
     """
-    config = _resolve_config(oracle, config)
+    config = oracle.config
     n, k = config.n, config.k
     state = SolverState(config=config, oracle=oracle, partial=[OPEN] * n)
     rots = state.rotations
@@ -188,19 +182,20 @@ def initial_phase(oracle: CodemakerOracle, config: GameConfig | None = None) -> 
 
 def select_active_index(state: SolverState) -> tuple[int, int]:
     """Smallest j whose rotation still hides open matches while its cyclic
-    successor hides none.  Returns (j, successor)."""
+    successor hides none.  Returns (j, successor).
+
+    One exists while a position is open, whatever the oracle answers:
+    sum(v) is the number of open positions, since the opening derives the
+    last count as n minus the others and `apply_found_component` lowers both
+    by one, never below zero.  So some v is positive, and all are only when
+    k == n and every v is 1, an opening `find_first_uniform` takes instead.
+    """
     v, k = state.v, state.config.k
     for j in range(1, k + 1):
         r = _successor(j, k)
         if v[j - 1] > 0 and v[r - 1] == 0:
             return j, r
-    if all(c == 0 for c in v) and state.open_count() > 0:
-        raise InconsistentOracleError(
-            "every rotation is exhausted but open positions remain"
-        )
-    raise InconsistentOracleError(
-        "no rotation with matches left sits next to one without"
-    )
+    raise SolverInvariantError(f"no active rotation pair in v = {v}")
 
 
 def find_first(state: SolverState, j: int) -> int:
@@ -417,9 +412,10 @@ def solve(oracle: CodemakerOracle, config: GameConfig | None = None) -> tuple[tu
     Each search and the endgame must stay within the cost its docstring
     states; an overrun raises SolverInvariantError.
     """
-    config = _resolve_config(oracle, config)
-    n, k = config.n, config.k
-    state = initial_phase(oracle, config)
+    if config is not None and config != oracle.config:
+        raise ValueError(f"config {config} does not match oracle config {oracle.config}")
+    n, k = oracle.config.n, oracle.config.k
+    state = initial_phase(oracle)
     if state.solved_secret is not None:
         return state.solved_secret, state.transcript
     log_n = ceil_log2(n)

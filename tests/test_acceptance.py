@@ -152,14 +152,12 @@ def test_criterion_07_minimax_brackets():
     _report(f"criterion 7 PASS: minimax brackets {brackets} in {elapsed:.1f}s")
 
 
-def _check_adaption(instance, adapted):
-    validate_code(adapted, instance.config)
-    for earlier in instance.queries[:-1]:
-        if black(earlier, adapted) != black(earlier, instance.current_secret):
+def _check_adaption(config, queries, secret, adapted):
+    validate_code(adapted, config)
+    for earlier in queries[:-1]:
+        if black(earlier, adapted) != black(earlier, secret):
             return "earlier count changed"
-    if not black(instance.current_query, adapted) < black(
-        instance.current_query, instance.current_secret
-    ):
+    if not black(queries[-1], adapted) < black(queries[-1], secret):
         return "current count not lowered"
     return None
 
@@ -171,12 +169,12 @@ def test_criterion_08_adaption_postconditions():
     failures = []
     for _ in range(1000):
         inst = make_same_colors_instance(rng)
-        problem = _check_adaption(inst, adapt_secret(inst))
+        problem = _check_adaption(*inst, adapt_secret(*inst))
         if problem:
             failures.append(("same", inst, problem))
     for _ in range(1000):
         inst = make_spare_colors_instance(rng)
-        problem = _check_adaption(inst, adapt_secret(inst))
+        problem = _check_adaption(*inst, adapt_secret(*inst))
         if problem:
             failures.append(("spare", inst, problem))
     assert not failures, failures[:3]

@@ -193,6 +193,13 @@ class TestBenchCommand:
         code, _, err = run(["bench", "--n", "4", "--samples", "0", "--seed", "1"], capsys)
         assert code == 1
 
+    def test_wrong_secret_exits_2(self, capsys, monkeypatch):
+        # every game is audited: a wrong code must not pass as bound_ok
+        monkeypatch.setattr(cli, "solve", lambda oracle, config: ((1, 2, 3, 4), solve(oracle)[1]))
+        code, out, err = run(["bench", "--n", "4", "--samples", "3", "--seed", "1"], capsys)
+        assert code == 2
+        assert "verification failed" in err and "wrong_secret" in err
+
 
 class TestInteractiveCommand:
     def test_honest_answers_find_the_code(self, capsys, monkeypatch):

@@ -6,7 +6,6 @@ from itertools import repeat
 import pytest
 
 from permmind import (
-    AdaptionInstance,
     AdversaryCodemaker,
     CapacityError,
     CodemakerOracle,
@@ -190,78 +189,77 @@ class TestAdversary:
             verify_lower_bound_play(GameConfig(3, 3), solver=fake_solver)
 
 
-class TestAdaptionInstance:
-    def test_accessors(self):
-        inst = AdaptionInstance(
-            GameConfig(4, 4), ((4, 3, 2, 1), (1, 2, 3, 4)), (1, 2, 4, 3)
-        )
-        assert inst.m == 2
-        assert inst.current_query == (1, 2, 3, 4)
-        assert inst.agreement_colors() == {1, 2}
-        assert inst.allowed_colors_at(1) == {2, 3}
-        assert inst.allowed_colors_at(3) == {1, 4}
-
+class TestAdaptSecretInput:
     def test_needs_a_query(self):
         with pytest.raises(ValueError):
-            AdaptionInstance(GameConfig(3, 3), (), (1, 2, 3))
+            adapt_secret(GameConfig(3, 3), (), (1, 2, 3))
+
+    @pytest.mark.parametrize(
+        "queries,secret",
+        [
+            (((1, 2, 2),), (1, 2, 3)),
+            (((1, 2, 3), (1, 2)), (1, 2, 3)),
+            (((1, 2, 3),), (1, 2, 4)),
+            (((1, 2, 3),), (3, 3, 1)),
+        ],
+        ids=["duplicate_query", "short_earlier_query", "secret_out_of_range", "duplicate_secret"],
+    )
+    def test_invalid_code_rejected(self, queries, secret):
+        with pytest.raises(InvalidCodeError):
+            adapt_secret(GameConfig(3, 3), queries, secret)
 
 
 class TestAdaptSameColors:
     def test_worked_example(self):
-        inst = AdaptionInstance(GameConfig(4, 4), ((1, 2, 3, 4),), (1, 2, 3, 4))
-        assert adapt_secret(inst) == (2, 1, 3, 4)
+        assert adapt_secret(GameConfig(4, 4), ((1, 2, 3, 4),), (1, 2, 3, 4)) == (2, 1, 3, 4)
 
-    def test_square_board_draws_from_agreement_colors(self):
-        inst = AdaptionInstance(GameConfig(3, 3), ((1, 2, 3),), (1, 2, 3))
-        assert adapt_secret(inst) == (2, 1, 3)
+    def test_square_board_draws_from_agreeing_colors(self):
+        assert adapt_secret(GameConfig(3, 3), ((1, 2, 3),), (1, 2, 3)) == (2, 1, 3)
+
+    def test_earlier_queries_rule_out_their_colors(self):
+        # 1 and 2 were tried at position 1, so it takes 3; position 3 then
+        # takes 1, the smallest color not tried there, closing the cycle
+        queries = ((2, 1, 4, 3), (1, 2, 3, 4))
+        assert adapt_secret(GameConfig(4, 4), queries, (1, 2, 3, 4)) == (3, 2, 1, 4)
 
     def test_requires_enough_agreement(self):
-        inst = AdaptionInstance(GameConfig(3, 3), ((1, 2, 3),), (1, 3, 2))
         with pytest.raises(ValueError):
-            adapt_secret(inst)
+            adapt_secret(GameConfig(3, 3), ((1, 2, 3),), (1, 3, 2))
 
     def test_random_instances_keep_postconditions(self):
         rng = random.Random(42)
         for _ in range(200):
-            inst = make_same_colors_instance(rng)
-            z = adapt_secret(inst)
-            validate_code(z, inst.config)
-            for q in inst.queries[:-1]:
-                assert black(q, z) == black(q, inst.current_secret)
-            assert black(inst.current_query, z) < black(
-                inst.current_query, inst.current_secret
-            )
+            config, queries, secret = make_same_colors_instance(rng)
+            z = adapt_secret(config, queries, secret)
+            validate_code(z, config)
+            for q in queries[:-1]:
+                assert black(q, z) == black(q, secret)
+            assert black(queries[-1], z) < black(queries[-1], secret)
 
 
 class TestAdaptSpareColors:
     def test_chain_escapes_into_unused_color(self):
-        inst = AdaptionInstance(GameConfig(2, 3), ((2, 3),), (2, 3))
-        assert adapt_secret(inst) == (1, 3)
+        assert adapt_secret(GameConfig(2, 3), ((2, 3),), (2, 3)) == (1, 3)
 
     def test_chain_closes_a_cycle(self):
-        inst = AdaptionInstance(GameConfig(2, 3), ((1, 2),), (1, 2))
-        assert adapt_secret(inst) == (2, 1)
+        assert adapt_secret(GameConfig(2, 3), ((1, 2),), (1, 2)) == (2, 1)
 
     def test_requires_agreement_somewhere(self):
-        inst = AdaptionInstance(GameConfig(2, 3), ((1, 2),), (2, 1))
         with pytest.raises(ValueError):
-            adapt_secret(inst)
+            adapt_secret(GameConfig(2, 3), ((1, 2),), (2, 1))
 
     def test_requires_query_to_be_the_secret(self):
         # the walk would pick the secret's own color at position 2 and hand
         # the secret back unchanged, with the count still 4
-        inst = AdaptionInstance(GameConfig(6, 12), ((1, 2, 3, 4, 5, 6),), (2, 1, 3, 4, 5, 6))
         with pytest.raises(ValueError):
-            adapt_secret(inst)
+            adapt_secret(GameConfig(6, 12), ((1, 2, 3, 4, 5, 6),), (2, 1, 3, 4, 5, 6))
 
     def test_random_instances_keep_postconditions(self):
         rng = random.Random(43)
         for _ in range(200):
-            inst = make_spare_colors_instance(rng)
-            z = adapt_secret(inst)
-            validate_code(z, inst.config)
-            for q in inst.queries[:-1]:
-                assert black(q, z) == black(q, inst.current_secret)
-            assert black(inst.current_query, z) < black(
-                inst.current_query, inst.current_secret
-            )
+            config, queries, secret = make_spare_colors_instance(rng)
+            z = adapt_secret(config, queries, secret)
+            validate_code(z, config)
+            for q in queries[:-1]:
+                assert black(q, z) == black(q, secret)
+            assert black(queries[-1], z) < black(queries[-1], secret)

@@ -72,7 +72,7 @@ class FixedOnlyOracle(CodemakerOracle):
 
 def state_for(secret, config=None):
     oracle = StaticCodemaker(secret, config)
-    return initial_phase(oracle, oracle.config)
+    return initial_phase(oracle)
 
 
 class TestBounds:
@@ -167,14 +167,11 @@ class TestSelectActiveIndex:
         state = self._state_with_v([0, 0, 0, 0, 0, 0, 0, 3])
         assert select_active_index(state) == (8, 1)
 
-    def test_exhausted_rotations_with_open_positions(self):
-        state = self._state_with_v([0] * 8)
-        with pytest.raises(InconsistentOracleError):
-            select_active_index(state)
-
-    def test_no_boundary(self):
-        state = self._state_with_v([1] * 8)
-        with pytest.raises(InconsistentOracleError):
+    @pytest.mark.parametrize("v", [[0] * 8, [1] * 8], ids=["exhausted", "no_boundary"])
+    def test_missing_active_pair_is_a_solver_bug(self, v):
+        # no oracle can bring solve here: sum(v) tracks the open positions
+        state = self._state_with_v(v)
+        with pytest.raises(SolverInvariantError, match="v = "):
             select_active_index(state)
 
 

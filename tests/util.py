@@ -3,7 +3,7 @@ constrained random instance generators."""
 
 from __future__ import annotations
 
-from permmind import AdaptionInstance, GameConfig
+from permmind import GameConfig
 
 
 def _random_injective(rng, n: int, k: int) -> tuple:
@@ -23,8 +23,8 @@ def _shuffled_derangement(rng, values):
             return out
 
 
-def make_same_colors_instance(rng, n: int | None = None, m: int | None = None) -> AdaptionInstance:
-    """Random instance for the equal-colors adaption.
+def make_same_colors_instance(rng, n: int | None = None, m: int | None = None) -> tuple:
+    """Random (config, queries, secret) for the equal-colors adaption.
 
     Premises built in: k == n; the current query agrees with the current
     secret on at least m+1 colors; and no earlier query agrees with the
@@ -52,11 +52,11 @@ def make_same_colors_instance(rng, n: int | None = None, m: int | None = None) -
             if all(q[i] != secret[i] for i in agree_positions):
                 priors.append(q)
                 break
-    return AdaptionInstance(config, tuple(priors) + (tuple(current),), secret)
+    return config, tuple(priors) + (tuple(current),), secret
 
 
-def make_spare_colors_instance(rng, n: int | None = None, m: int | None = None) -> AdaptionInstance:
-    """Random instance for the spare-colors adaption.
+def make_spare_colors_instance(rng, n: int | None = None, m: int | None = None) -> tuple:
+    """Random (config, queries, secret) for the spare-colors adaption.
 
     Premises built in: k > n; the current query IS the current secret (the
     all-black situation the procedure exists for); and no earlier query
@@ -77,4 +77,4 @@ def make_spare_colors_instance(rng, n: int | None = None, m: int | None = None) 
             if all(a != b for a, b in zip(q, secret)):
                 priors.append(q)
                 break
-    return AdaptionInstance(config, tuple(priors) + (secret,), secret)
+    return config, tuple(priors) + (secret,), secret
