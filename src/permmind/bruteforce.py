@@ -11,6 +11,8 @@ boards it brackets what the solver achieves.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import permutations
+from operator import itemgetter
 
 from . import _kernel
 from .codemaker import (
@@ -140,6 +142,50 @@ def _depth_floor(size: int, branch: int) -> int:
     return depth
 
 
+def _position_symmetries(config: GameConfig) -> list[tuple]:
+    """The symmetries of a board before any guess, one per relabelling of
+    positions, identity first.
+
+    A symmetry is (sigma, getter, pi) and moves a code y to y' with
+    y'[sigma[j]] = pi[y[j]]; `getter` is `itemgetter` of sigma's inverse, so
+    y' = getter(pi applied to y).  `pi` is indexed by color and reads 0 for
+    every color no guess has used yet.  Those colors are interchangeable, so
+    one symmetry stands for every relabelling of them among themselves, and a
+    code moved by it is known only up to that relabelling: with its unused
+    colors blanked to 0.  Before any guess, every color reads 0.
+    """
+    blank = (0,) * (config.k + 1)
+    symmetries = []
+    for sigma in permutations(range(config.n)):
+        inverse = sorted(range(config.n), key=sigma.__getitem__)
+        symmetries.append((sigma, itemgetter(*inverse), blank))
+    return symmetries
+
+
+def _fixing(symmetries: list[tuple], guess: tuple) -> list[tuple]:
+    """The symmetries that also fix `guess`, each extended to the colors
+    `guess` uses for the first time, identity still first.
+
+    symmetries[0] is the identity, so its `pi` reads c for every used color c
+    and 0 for the others: `target` is the guess with its unused colors
+    blanked.  A symmetry fixes the guess, for some relabelling of the unused
+    colors, exactly when it moves the guess onto `target` the same way: used
+    colors land on themselves, and unused colors land where the guess has
+    unused colors.  That relabelling sends guess[j] to guess[sigma[j]].
+    """
+    identity = symmetries[0][2]
+    target = tuple(map(identity.__getitem__, guess))
+    kept = []
+    for sigma, getter, pi in symmetries:
+        if getter(tuple(map(pi.__getitem__, guess))) == target:
+            grown = list(pi)
+            for j, color in enumerate(guess):
+                if not pi[color]:
+                    grown[color] = guess[sigma[j]]
+            kept.append((sigma, getter, tuple(grown)))
+    return kept
+
+
 def minimax_value(config: GameConfig, allow_large: bool = False) -> int:
     """Exact worst-case query count of an optimal codebreaker.
 
@@ -147,6 +193,20 @@ def minimax_value(config: GameConfig, allow_large: bool = False) -> int:
     every step, the answer splits the feasible set, and the game ends the
     moment the guess is the secret itself.  Exponential; boards beyond 32
     codes need allow_large, beyond 120 they are refused outright.
+
+    The search tries one guess per orbit of the symmetries that fix every
+    guess made so far.  Relabelling positions and colors, on guess and
+    secret together, keeps every black count, so such a symmetry maps the
+    feasible set onto itself, and it maps the game after guess y onto the
+    game after the image of y: the two guesses cost the same.  Before the
+    first guess every code lies in one orbit, so only codes[0] is tried.
+    After it, a symmetry is a relabelling of positions plus the relabelling
+    of used colors it forces, at most n! of them (`_fixing`); colors no guess
+    has used are interchangeable, so a code's orbit is found by blanking
+    them.  Each orbit is tried through its first member in the usual order,
+    feasible codes first.  The value of a feasible set does not depend on
+    how the search reached it, so the memo stays keyed by the exact set.
+    `minimax_value_naive` tries every code and is the reference.
     """
     count = injective_code_count(config)
     if count > MINIMAX_HARD_LIMIT:
@@ -155,7 +215,8 @@ def minimax_value(config: GameConfig, allow_large: bool = False) -> int:
         )
     if count > MINIMAX_SOFT_LIMIT and not allow_large:
         raise CapacityError(
-            f"game-tree search over {count} codes needs allow_large (soft limit {MINIMAX_SOFT_LIMIT})"
+            f"game-tree search over {count} codes needs allow_large "
+            f"(command line: --allow-large; soft limit {MINIMAX_SOFT_LIMIT})"
         )
     codes = tuple(all_injective_codes(config))
     n, k = config.n, config.k
@@ -163,25 +224,36 @@ def minimax_value(config: GameConfig, allow_large: bool = False) -> int:
     branch = n - 1 if k == n else n
     memo: dict[tuple, int] = {}
 
-    def value(feasible: tuple) -> int:
+    def value(feasible: tuple, symmetries: list[tuple], guess) -> int:
+        # `symmetries` fix every guess before `guess`, which left `feasible`;
+        # the ones that also fix `guess` are found only for a new set
         if len(feasible) == 1:
             return 1
         if len(feasible) == 2:
             return 2
         if feasible in memo:
             return memo[feasible]
+        if guess is not None:
+            symmetries = _fixing(symmetries, guess)
         floor = _depth_floor(len(feasible), branch)
         members = set(feasible)
         ordered = list(feasible) + [x for x in codes if x not in members]
+        identity = symmetries[0][2]
+        tried = set()
         best = None
         for x in ordered:
+            blanked = tuple(map(identity.__getitem__, x))
+            if blanked in tried:
+                continue  # a symmetric guess was tried already
+            for _, getter, pi in symmetries:
+                tried.add(getter(tuple(map(pi.__getitem__, x))))
             parts = _kernel.partition_by_black(feasible, x)
             if len(parts) == 1 and n not in parts:
                 continue  # answer is forced, the guess teaches nothing
             worst = 0
             abandoned = False
             for ans, part in sorted(parts.items(), key=lambda kv: (-len(kv[1]), kv[0])):
-                cost = 1 if ans == n else 1 + value(tuple(part))
+                cost = 1 if ans == n else 1 + value(tuple(part), symmetries, x)
                 if cost > worst:
                     worst = cost
                 if best is not None and worst >= best:
@@ -194,14 +266,14 @@ def minimax_value(config: GameConfig, allow_large: bool = False) -> int:
         memo[feasible] = best
         return best
 
-    return value(codes)
+    return value(codes, _position_symmetries(config), None)
 
 
 def minimax_value_naive(config: GameConfig) -> int:
     """Reference implementation: plain recursion, no memo, no pruning, no
     shortcuts.  Only for cross-checking minimax_value on the tiniest boards.
     """
-    if injective_code_count(config) > 10:
+    if injective_code_count(config) > 12:
         raise CapacityError("the naive search is for cross-checks on tiny boards only")
     codes = tuple(all_injective_codes(config))
     n = config.n

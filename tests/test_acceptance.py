@@ -136,14 +136,14 @@ def test_criterion_06_adversary_wide_boards():
 
 
 def test_criterion_07_minimax_brackets():
-    """Exact optima: 2 queries for two holes; for n in 3..4 the optimum sits
+    """Exact optima: 2 queries for two holes; for n in 3..5 the optimum sits
     between n and what the solver achieves; all under a minute."""
     started = time.perf_counter()
     assert minimax_value(GameConfig(2, 2)) == 2
     brackets = {}
-    for n in (3, 4):
+    for n in (3, 4, 5):
         config = GameConfig(n, n)
-        optimal = minimax_value(config)
+        optimal = minimax_value(config, allow_large=True)
         achieved = exhaustive_verify(config).max_queries
         assert n <= optimal <= achieved, (n, optimal, achieved)
         brackets[n] = (n, optimal, achieved)

@@ -1,5 +1,9 @@
 """Exhaustive replay auditing and exact game-tree search."""
 
+import random
+from itertools import permutations
+from math import factorial
+
 import pytest
 
 from permmind import (
@@ -16,6 +20,7 @@ from permmind import (
     rotation_family,
     solve,
 )
+from permmind.bruteforce import _fixing, _position_symmetries
 
 
 def _played_transcript(secret, config=None):
@@ -136,10 +141,14 @@ class TestMinimax:
     def test_four_holes_need_five(self):
         assert minimax_value(GameConfig(4, 4)) == 5
 
-    @pytest.mark.parametrize("n,k", [(2, 2), (3, 3), (2, 3)])
+    @pytest.mark.parametrize("n,k", [(2, 2), (3, 3), (2, 3), (2, 4)])
     def test_naive_cross_check(self, n, k):
         config = GameConfig(n, k)
         assert minimax_value(config) == minimax_value_naive(config)
+
+    @pytest.mark.parametrize("n,k,optimal", [(2, 7, 7), (4, 5, 6), (5, 5, 6)])
+    def test_exact_values_past_the_soft_limit(self, n, k, optimal):
+        assert minimax_value(GameConfig(n, k), allow_large=True) == optimal
 
     def test_optimal_never_beats_information_floor(self):
         # with at most n distinguishable non-winning answers, |F| secrets
@@ -171,6 +180,59 @@ class TestMinimax:
             optimal = minimax_value(config)
             achieved = exhaustive_verify(config).max_queries
             assert optimal <= achieved <= optimal + 2 * n
+
+
+def _move(sigma, colors, code):
+    """The code with code[j] moved to position sigma[j] and recolored."""
+    moved = [0] * len(code)
+    for j, color in enumerate(code):
+        moved[sigma[j]] = colors[color]
+    return tuple(moved)
+
+
+class TestSymmetries:
+    """The symmetries minimax_value keeps are exactly those of S_n x S_k
+    that fix every guess so far."""
+
+    @pytest.mark.parametrize("n,k,seed", [(4, 4, 1), (3, 5, 2)])
+    def test_kept_symmetries_fix_the_guesses(self, n, k, seed):
+        config = GameConfig(n, k)
+        codes = list(all_injective_codes(config))
+        rng = random.Random(seed)
+        # the search's own first guess, then random ones
+        guesses = [codes[0]] + rng.sample(codes, 2)
+        symmetries = _position_symmetries(config)
+        for depth, guess in enumerate(guesses, start=1):
+            symmetries = _fixing(symmetries, guess)
+            made = guesses[:depth]
+            assert symmetries[0][0] == tuple(range(n))
+            assert len({sigma for sigma, _, _ in symmetries}) == len(symmetries)
+            for sigma, getter, pi in symmetries:
+                unused = [c for c in range(1, k + 1) if not pi[c]]
+                # the used colors map onto themselves; the unused ones go
+                # anywhere among themselves, here to themselves
+                colors = [c if c in unused else pi[c] for c in range(k + 1)]
+                assert sorted(colors[1:]) == list(range(1, k + 1))
+                for g in made:
+                    assert _move(sigma, colors, g) == g
+                    assert getter(tuple(pi[c] for c in g)) == tuple(
+                        0 if c in unused else c for c in g
+                    )
+                moved = {code: _move(sigma, colors, code) for code in codes}
+                for a in codes:
+                    for b in codes:
+                        assert black(moved[a], moved[b]) == black(a, b)
+            # none is missing: each kept one stands for every relabelling of
+            # the unused colors
+            unused = [c for c in range(1, k + 1) if not symmetries[0][2][c]]
+            fixing_all = sum(
+                all(_move(sigma, (0,) + perm, g) == g for g in made)
+                for sigma in permutations(range(n))
+                for perm in permutations(range(1, k + 1))
+            )
+            assert fixing_all == len(symmetries) * factorial(len(unused))
+            if (n, k) == (3, 5) and depth == 1:
+                assert unused == [4, 5]
 
 
 class TestTranscriptInvariantEverywhere:

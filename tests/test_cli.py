@@ -262,6 +262,7 @@ class TestMinimaxCommand:
         code, _, err = run(["minimax", "--n", "3", "--k", "5"], capsys)
         assert code == 1
         assert "allow_large" in err
+        assert "--allow-large" in err
 
     def test_huge_board_refused_before_enumerating(self, capsys):
         code, _, err = run(["minimax", "--n", "12", "--k", "12"], capsys)
