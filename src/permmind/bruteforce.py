@@ -2,10 +2,10 @@
 
 `exhaustive_verify` replays the solver against every possible secret of a
 board and audits each game: right answer, internally consistent transcript,
-and query budget respected where it is promised.  `minimax_value` computes
-the true worst-case query count of an optimal codebreaker by searching the
-full game tree; it is exponential and guarded accordingly, but on tiny
-boards it brackets what the solver achieves.
+and query budget respected.  `minimax_value` computes the true worst-case
+query count of an optimal codebreaker by searching the full game tree; it is
+exponential and guarded accordingly, but on tiny boards it brackets what the
+solver achieves.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ from .codemaker import (
     injective_code_count,
 )
 from .core import CapacityError, GameConfig, Transcript, black, rotation_family
-from .solver import bound_enforced, query_bound, solve
+from .solver import query_bound, solve
 
 MINIMAX_SOFT_LIMIT = 32
 MINIMAX_HARD_LIMIT = 120
@@ -54,15 +54,14 @@ def check_transcript(transcript: Transcript, secret=None) -> int | None:
 def audit_game(secret, recovered, transcript: Transcript, queries: int) -> list[tuple]:
     """Failures of one finished game that asked `queries` queries:
     ("wrong_secret", secret, recovered), ("bad_transcript", secret,
-    event_index) and, where the bound is promised, ("over_budget", secret,
-    queries)."""
+    event_index) and ("over_budget", secret, queries)."""
     failures = []
     if recovered != secret:
         failures.append(("wrong_secret", secret, recovered))
     bad = check_transcript(transcript, secret)
     if bad is not None:
         failures.append(("bad_transcript", secret, bad))
-    if bound_enforced(transcript.config) and queries > query_bound(transcript.config):
+    if queries > query_bound(transcript.config):
         failures.append(("over_budget", secret, queries))
     return failures
 
@@ -74,7 +73,6 @@ class VerificationReport:
     config: GameConfig
     total: int
     bound: int
-    bound_enforced: bool
     max_queries: int = 0
     query_histogram: dict[int, int] = field(default_factory=dict)
     failures: list[tuple] = field(default_factory=list)
@@ -86,11 +84,9 @@ class VerificationReport:
 
     def summary(self) -> str:
         verdict = "ok" if self.ok else f"{len(self.failures)} FAILURES"
-        bound_note = "enforced" if self.bound_enforced else "reported only"
         return (
             f"n={self.config.n} k={self.config.k}: {self.total} secrets, "
-            f"max {self.max_queries} queries, bound {self.bound} ({bound_note}), "
-            f"{verdict}"
+            f"max {self.max_queries} queries, bound {self.bound}, {verdict}"
         )
 
 
@@ -110,7 +106,6 @@ def exhaustive_verify(
         config=config,
         total=injective_code_count(config),
         bound=query_bound(config),
-        bound_enforced=bound_enforced(config),
     )
     for secret in all_injective_codes(config):
         oracle = StaticCodemaker(secret, config)

@@ -40,7 +40,7 @@ from .core import (
     InvalidCodeError,
     Transcript,
 )
-from .solver import CodemakerOracle, SolverInvariantError, bound_enforced, query_bound, solve
+from .solver import CodemakerOracle, SolverInvariantError, query_bound, solve
 
 
 class _Parser(argparse.ArgumentParser):
@@ -96,11 +96,10 @@ def render_transcript_text(transcript: Transcript, secret) -> str:
         mark = "*" if ev.derived else " "
         code = " ".join(str(c) for c in ev.guess)
         lines.append(f"{idx:>4}{mark} {code}  -> {ev.black}")
-    enforcement = "" if bound_enforced(transcript.config) else ", not enforced here"
     lines.append(
         f"secret {' '.join(str(c) for c in secret)} found in "
         f"{transcript.query_count} queries "
-        f"(bound {query_bound(transcript.config)}{enforcement}; * = derived, free)"
+        f"(bound {query_bound(transcript.config)}; * = derived, free)"
     )
     return "\n".join(lines) + "\n"
 

@@ -63,11 +63,15 @@ def _check_capacity(config: GameConfig, max_states: int | None, what: str) -> in
     count = injective_code_count(config)
     limit = max_states
     if limit is None:
-        limit = int(os.environ.get("PERMMIND_MAX_STATES") or DEFAULT_STATE_LIMIT)
+        setting = os.environ.get("PERMMIND_MAX_STATES")
+        try:
+            limit = int(setting) if setting else DEFAULT_STATE_LIMIT
+        except ValueError:
+            raise ValueError(f"PERMMIND_MAX_STATES={setting!r} is not an integer") from None
     if count > limit:
         raise CapacityError(
             f"{what} would enumerate {count} codes, limit is {limit} "
-            "(raise PERMMIND_MAX_STATES to override)"
+            "(raise it with --max-states or PERMMIND_MAX_STATES)"
         )
     return count
 

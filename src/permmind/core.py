@@ -69,7 +69,7 @@ def validate_code(code, config: GameConfig) -> None:
         )
     seen = set()
     for pos, color in enumerate(code, start=1):
-        if not isinstance(color, int) or not 1 <= color <= config.k:
+        if type(color) is not int or not 1 <= color <= config.k:
             raise InvalidCodeError(
                 "range", f"color {color!r} at position {pos} is outside 1..{config.k}"
             )

@@ -121,11 +121,7 @@ def ceil_log2(n: int) -> int:
 
 
 def query_bound(config: GameConfig) -> int:
-    """Worst-case queries the solver may spend on this board.
-
-    For k == n the formula degenerates below n = 4 and is reported but not
-    enforced there.
-    """
+    """Worst-case queries the solver may spend on this board."""
     n, k = config.n, config.k
     if k == n:
         return (n - 3) * ceil_log2(n) + (5 * n - 2) // 2
@@ -133,15 +129,12 @@ def query_bound(config: GameConfig) -> int:
 
 
 def bound_enforced(config: GameConfig) -> bool:
-    """Whether query_bound is a hard promise for this board.
+    """Always True: query_bound is promised on every board.
 
-    With k == n the binary searches' disambiguation overhead can outgrow the
-    formula on tiny boards, so for n <= 3 the bound is reported, not promised.
+    Kept only because the benchmark harness (`perfbench/workloads.py`) still
+    calls it; no module of permmind does.  Delete it with those calls.
     """
-    n, k = config.n, config.k
-    if k > n:
-        return True
-    return n >= 4
+    return True
 
 
 def initial_phase(oracle: CodemakerOracle) -> SolverState:

@@ -17,6 +17,7 @@ from permmind import (
     exhaustive_verify,
     minimax_value,
     minimax_value_naive,
+    query_bound,
     rotation_family,
     solve,
 )
@@ -79,7 +80,6 @@ class TestExhaustiveVerify:
         assert report.total == 24
         assert report.max_queries == 10
         assert report.bound == 11
-        assert report.bound_enforced
         assert sum(report.query_histogram.values()) == 24
         assert report.terminal_swaps == 8
         assert "ok" in report.summary()
@@ -105,16 +105,18 @@ class TestExhaustiveVerify:
         assert len(report.failures) == 6
         assert all(kind == "wrong_secret" for kind, *_ in report.failures)
 
-    def test_flags_budget_overrun(self):
+    @pytest.mark.parametrize("n", [4, 3])
+    def test_flags_budget_overrun(self, n):
         def padded_solver(oracle, config):
             secret, transcript = solve(oracle, config)
             first = transcript.events[0].guess
-            while transcript.query_count <= 11:
+            while transcript.query_count <= query_bound(config):
                 oracle.answer(first)
             return secret, transcript
 
-        report = exhaustive_verify(GameConfig(4, 4), solver=padded_solver)
+        report = exhaustive_verify(GameConfig(n, n), solver=padded_solver)
         assert not report.ok
+        assert len(report.failures) == report.total
         assert all(kind == "over_budget" for kind, *_ in report.failures)
 
     def test_flags_tampered_transcript(self):

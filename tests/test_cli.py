@@ -36,6 +36,11 @@ class TestSolveCommand:
         assert "secret 2 1 4 3 found in" in out
         assert "*" in out  # the derived family count is marked
 
+    def test_tiny_board_footer(self, capsys):
+        code, out, _ = run(["solve", "--n", "3", "--secret", "2,3,1"], capsys)
+        assert code == 0
+        assert out.endswith("secret 2 3 1 found in 5 queries (bound 6; * = derived, free)\n")
+
     def test_json_output(self, capsys):
         code, out, _ = run(
             ["solve", "--n", "4", "--secret", "2,1,4,3", "--json"], capsys
@@ -114,6 +119,11 @@ class TestExhaustiveCommand:
         assert "max 10 queries" in out
         assert "  degenerate opening swaps: 8\n" in out
 
+    def test_tiny_board_summary(self, capsys):
+        code, out, _ = run(["exhaustive", "--n", "3"], capsys)
+        assert code == 0
+        assert out.splitlines()[0] == "n=3 k=3: 6 secrets, max 5 queries, bound 6, ok"
+
     def test_failures_exit_2_on_stderr(self, capsys, monkeypatch):
         def wrong(oracle, config):
             return (1, 2, 3), solve(oracle, config)[1]
@@ -134,6 +144,7 @@ class TestExhaustiveCommand:
         code, _, err = run(["exhaustive", "--n", "4", "--max-states", "3"], capsys)
         assert code == 1
         assert "PERMMIND_MAX_STATES" in err
+        assert "--max-states" in err
 
 
 class TestAdversaryCommand:

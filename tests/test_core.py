@@ -67,9 +67,10 @@ class TestValidateCode:
         assert exc.value.reason == "length"
 
     def test_non_integer(self):
-        with pytest.raises(InvalidCodeError) as exc:
-            validate_code((1.0, 2), GameConfig(2, 4))
-        assert exc.value.reason == "range"
+        for code in ((1.0, 2), (True, 2)):  # a bool is an int subclass, not a color
+            with pytest.raises(InvalidCodeError) as exc:
+                validate_code(code, GameConfig(2, 4))
+            assert exc.value.reason == "range"
 
 
 class TestCounts:
