@@ -108,8 +108,12 @@ def _write(text: str, path: str | None) -> None:
     if path is None or path == "-":
         sys.stdout.write(text)
     else:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        try:
+            with open(path, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        except OSError as exc:
+            # a usage error like any other: main reports it and exits 1
+            raise ValueError(f"cannot write --out {path}: {exc.strerror}") from None
 
 
 def cmd_solve(args) -> int:

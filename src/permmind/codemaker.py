@@ -82,7 +82,10 @@ class StaticCodemaker(CodemakerOracle):
     def __init__(self, secret, config: GameConfig | None = None):
         secret = tuple(secret)
         if config is None:
-            config = GameConfig(len(secret), max(len(secret), max(secret)))
+            # only exact ints can be colors; GameConfig and validate_code
+            # name whatever else is wrong with the secret
+            colors = [c for c in secret if type(c) is int]
+            config = GameConfig(len(secret), max([len(secret), *colors]))
         validate_code(secret, config)
         super().__init__(config)
         self.secret = secret
@@ -143,7 +146,6 @@ def adapt_secret(config: GameConfig, queries, secret) -> tuple:
         validate_code(q, config)
     validate_code(secret, config)
     y, current, m = secret, queries[-1], len(queries)
-    palette = set(range(1, config.k + 1))
     if config.k == config.n:
         pool = {c for c, x in zip(y, current) if c == x}
         if len(pool) < m + 1:
@@ -151,9 +153,9 @@ def adapt_secret(config: GameConfig, queries, secret) -> tuple:
     elif current != y:
         raise ValueError("with spare colors the current query must be the current secret")
     else:
-        pool = palette
+        pool = config.palette
     start = next(i for i in range(1, config.n + 1) if y[i - 1] == current[i - 1])
-    unused = palette - set(y)
+    unused = config.palette - set(y)
 
     def untried(position: int) -> int:
         options = pool - {q[position - 1] for q in queries}

@@ -18,8 +18,8 @@ Partial solutions use 0 (OPEN) for holes whose color is still unknown.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from functools import lru_cache
+from dataclasses import dataclass, field, fields
+from functools import cached_property, lru_cache
 
 from . import _kernel
 
@@ -60,13 +60,36 @@ class GameConfig:
                 f"need at least as many colors as holes, got n={self.n}, k={self.k}"
             )
 
+    @cached_property
+    def palette(self) -> frozenset:
+        """The colors 1..k, cached on the instance.  It is not a field, so
+        equality, hashing and `repr` ignore it."""
+        return frozenset(range(1, self.k + 1))
+
+    def __getstate__(self):
+        # pickle the fields only, never the cached palette
+        return {f.name: getattr(self, f.name) for f in fields(self)}
+
 
 def validate_code(code, config: GameConfig) -> None:
-    """Raise InvalidCodeError on the first violation (length, range, duplicate)."""
-    if len(code) != config.n:
-        raise InvalidCodeError(
-            "length", f"code has {len(code)} entries, expected {config.n}"
-        )
+    """Raise InvalidCodeError on the first violation (length, range, duplicate).
+
+    Two stages give one verdict.  The fast test runs at C speed: once every
+    entry is an exact int (bools, floats and numpy ints are not colors), the
+    entries meet the palette 1..k in n distinct colors exactly when the code
+    is valid.  The type test comes first, so no unhashable entry is ever
+    hashed.  A code the fast test refuses is therefore invalid, and the loop
+    runs only to name its first violation in position order.
+    """
+    n = config.n
+    if (
+        len(code) == n
+        and set(map(type, code)) == {int}
+        and len(config.palette.intersection(code)) == n
+    ):
+        return
+    if len(code) != n:
+        raise InvalidCodeError("length", f"code has {len(code)} entries, expected {n}")
     seen = set()
     for pos, color in enumerate(code, start=1):
         if type(color) is not int or not 1 <= color <= config.k:

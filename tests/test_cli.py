@@ -4,6 +4,8 @@ import io
 import json
 import random
 
+import pytest
+
 from permmind import (
     GameConfig,
     InconsistentOracleError,
@@ -73,6 +75,12 @@ class TestSolveCommand:
         assert code == 0
         assert out == ""
         assert json.loads(target.read_text())["secret"] == [2, 1, 4, 3]
+
+    def test_unwritable_out_path(self, tmp_path, capsys):
+        target = tmp_path / "missing" / "x"
+        code, _, err = run(["solve", "--n", "4", "--seed", "1", "--out", str(target)], capsys)
+        assert code == 1
+        assert err.startswith("permmind: error: ") and str(target) in err
 
     def test_rejects_invalid_secret(self, capsys):
         code, _, err = run(["solve", "--n", "4", "--secret", "1,1,2,3"], capsys)
@@ -199,6 +207,24 @@ class TestBenchCommand:
             "n,k,samples,seed,max_queries,mean_queries,bound,bound_ok\n"
             "8,8,20,3,31,577/20,34,true\n"
         )
+
+    @pytest.mark.parametrize(
+        "k,row",
+        [(256, "256,256,3,1,2363,2362,2663,true"), (320, "256,320,3,1,2352,2352,2353,true")],
+    )
+    def test_large_board_rows(self, k, row, capsys):
+        # pins exact play above n = 8, through find_next and find_next_many_colors
+        argv = ["bench", "--n", "256", "--k", str(k), "--samples", "3", "--seed", "1"]
+        code, out, _ = run(argv, capsys)
+        assert code == 0
+        assert out.splitlines()[1] == row
+
+    def test_unwritable_out_path(self, tmp_path, capsys):
+        target = tmp_path / "missing" / "x"
+        argv = ["bench", "--n", "4", "--samples", "2", "--seed", "1", "--out", str(target)]
+        code, _, err = run(argv, capsys)
+        assert code == 1
+        assert err.startswith("permmind: error: ") and str(target) in err
 
     def test_rejects_zero_samples(self, capsys):
         code, _, err = run(["bench", "--n", "4", "--samples", "0", "--seed", "1"], capsys)

@@ -40,6 +40,13 @@ class TestStaticCodemaker:
         assert StaticCodemaker((2, 1, 4, 3)).config == GameConfig(4, 4)
         assert StaticCodemaker((5, 1)).config == GameConfig(2, 5)
 
+    def test_config_inference_names_bad_secrets(self):
+        with pytest.raises(ValueError, match="need at least 2 holes"):
+            StaticCodemaker(())
+        with pytest.raises(InvalidCodeError) as exc:
+            StaticCodemaker(("a", "b"))
+        assert exc.value.reason == "range"
+
     def test_explicit_config_validates_secret(self):
         with pytest.raises(InvalidCodeError):
             StaticCodemaker((1, 5), GameConfig(2, 4))

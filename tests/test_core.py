@@ -1,5 +1,8 @@
 """Board primitives: validation, counting, rotations, transcripts."""
 
+import pickle
+
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
@@ -71,6 +74,64 @@ class TestValidateCode:
             with pytest.raises(InvalidCodeError) as exc:
                 validate_code(code, GameConfig(2, 4))
             assert exc.value.reason == "range"
+
+    # reasons and messages recorded from the loop-only validator, on (3, 4)
+    @pytest.mark.parametrize(
+        "code,reason,message",
+        [
+            ((True, 2, 3), "range", "color True at position 1 is outside 1..4"),
+            ((1.0, 2, 3), "range", "color 1.0 at position 1 is outside 1..4"),
+            ((np.int64(1), 2, 3), "range", f"color {np.int64(1)!r} at position 1 is outside 1..4"),
+            ((None, 2, 3), "range", "color None at position 1 is outside 1..4"),
+            (("1", 2, 3), "range", "color '1' at position 1 is outside 1..4"),
+            (([1], 2, 3), "range", "color [1] at position 1 is outside 1..4"),
+            ((0, 2, 3), "range", "color 0 at position 1 is outside 1..4"),
+            ((5, 2, 3), "range", "color 5 at position 1 is outside 1..4"),
+            ((-1, 2, 3), "range", "color -1 at position 1 is outside 1..4"),
+            ((3, 1, 3), "duplicate", "color 3 appears more than once (position 3)"),
+            ((3, 3, 9), "duplicate", "color 3 appears more than once (position 2)"),
+            ((1, 2), "length", "code has 2 entries, expected 3"),
+            ((1, 2, 3, 4), "length", "code has 4 entries, expected 3"),
+        ],
+    )
+    def test_rejection_is_named(self, code, reason, message):
+        with pytest.raises(InvalidCodeError) as exc:
+            validate_code(code, GameConfig(3, 4))
+        assert exc.value.reason == reason
+        assert str(exc.value) == message
+
+    @given(st.data())
+    def test_mixed_codes_raise_only_invalid_code_error(self, data):
+        k = data.draw(st.integers(min_value=2, max_value=6))
+        n = data.draw(st.integers(min_value=2, max_value=k))
+        ints = st.integers(min_value=-1, max_value=k + 2)
+        junk = st.one_of(
+            st.booleans(), st.floats(), st.none(), st.text(max_size=2),
+            st.lists(st.integers(), max_size=2),
+        )
+        colors = st.one_of(ints, ints, ints, junk)
+        code = tuple(data.draw(st.lists(colors, min_size=n - 1, max_size=n + 1)))
+        try:
+            validate_code(code, GameConfig(n, k))
+        except InvalidCodeError:
+            return
+        assert len(code) == n and len(set(code)) == n
+        assert all(type(c) is int and 1 <= c <= k for c in code)
+
+    @given(board_and_codes(count=1))
+    def test_accepts_every_injective_code(self, drawn):
+        config, (code,) = drawn
+        validate_code(code, config)
+        validate_code(list(code), config)
+
+    def test_palette_cache_is_invisible(self):
+        # rotation_family's lru_cache keys on the config
+        plain, cached = GameConfig(4, 4), GameConfig(4, 4)
+        assert cached.palette == frozenset({1, 2, 3, 4})
+        assert plain == cached and hash(plain) == hash(cached)
+        assert repr(plain) == repr(cached)
+        assert pickle.dumps(plain) == pickle.dumps(cached)
+        assert pickle.loads(pickle.dumps(cached)) == plain
 
 
 class TestCounts:
