@@ -104,12 +104,15 @@ def render_transcript_text(transcript: Transcript, secret) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _write(text: str, path: str | None) -> None:
+def _write(text: str, path: str | None, mode: str = "w") -> None:
+    """Write text to stdout or to --out.  Commands append "" before they
+    play, so an unwritable path fails before any game and an existing
+    file is not truncated early."""
     if path is None or path == "-":
         sys.stdout.write(text)
     else:
         try:
-            with open(path, "w", encoding="utf-8") as fh:
+            with open(path, mode, encoding="utf-8") as fh:
                 fh.write(text)
         except OSError as exc:
             # a usage error like any other: main reports it and exits 1
@@ -123,6 +126,7 @@ def cmd_solve(args) -> int:
     else:
         secret = random_injective_code(config, random.Random(args.seed))
     oracle = StaticCodemaker(secret, config)
+    _write("", args.out, "a")
     recovered, transcript = solve(oracle, config)
     out = (
         render_transcript_json(transcript, secret)
@@ -173,6 +177,7 @@ def cmd_bench(args) -> int:
     if args.samples < 1:
         print("permmind: error: --samples must be at least 1", file=sys.stderr)
         return 1
+    _write("", args.out, "a")
     rng = random.Random(args.seed)
     secrets = [random_injective_code(config, rng) for _ in range(args.samples)]
     counts, failures = [], []

@@ -120,6 +120,31 @@ def ceil_log2(n: int) -> int:
     return (n - 1).bit_length()
 
 
+def _bisect(a: int, b: int, in_prefix) -> int:
+    """Halve a..b down to one position.  `in_prefix(l)` says whether that
+    position lies in a..l-1; it is called at most ceil_log2(b - a + 1) times."""
+    while b > a:
+        l = (a + b + 1) // 2
+        if in_prefix(l):
+            b = l - 1
+        else:
+            a = l
+    return a
+
+
+def _phase_budgets(n: int) -> dict[str, int]:
+    """Most queries each phase after the opening may ask on an n-hole board;
+    `solve` raises SolverInvariantError when one asks more."""
+    log_n = ceil_log2(n)
+    return {
+        "find_first": 2 * log_n,
+        "find_first_uniform": n // 2 + 1,
+        "find_next": max(1 + ceil_log2(n - 1), log_n),
+        "find_next_many_colors": log_n,
+        "endgame": 2,
+    }
+
+
 def query_bound(config: GameConfig) -> int:
     """Worst-case queries the solver may spend on this board."""
     n, k = config.n, config.k
@@ -207,11 +232,9 @@ def find_first(state: SolverState, j: int) -> int:
     r = _successor(j, k)
     rots = state.rotations
     rj, rr = rots[j - 1], rots[r - 1]
-    a, b = 1, n
-    while b > a:
-        l = (a + b + 1) // 2
-        guess = rj[: l - 1] + (rr[0],) + rr[l:]
-        s = state.ask(guess)
+
+    def in_prefix(l):
+        s = state.ask(rj[: l - 1] + (rr[0],) + rr[l:])
         if s == 1:
             if l < n:
                 swap = rj[:l] + (rr[0],) + rr[l + 1 :]
@@ -225,11 +248,9 @@ def find_first(state: SolverState, j: int) -> int:
                 swap = (rr[0],) + rj[1 : n - 1] + (rj[0],)
                 state.transcript.notes.append(("terminal_swap", j))
             s = state.ask(swap)
-        if s > 0:
-            b = l - 1
-        else:
-            a = l
-    return b
+        return s > 0
+
+    return _bisect(1, n, in_prefix)
 
 
 def _swapped(code: tuple, i: int, j: int) -> tuple:
@@ -273,8 +294,10 @@ def find_next(state: SolverState, j: int) -> int:
     The pivot c is the smallest already-identified color.  A first probe
     moves c to the front of rotation j and reveals whether the open matches
     sit left or right of c's slot l_j; the binary search then splices
-    rotation j against its successor around the pivot.  Costs at most
-    1 + ceil(log2 n) queries.
+    rotation j against its successor around the pivot.  After the probe
+    the interval is 1..l_j or l_j+1..n (rotation r holds c at l_j + 1),
+    so it has at most n - 1 positions; with no probe (l_j == n) it has n.
+    Costs at most max(1 + ceil(log2(n - 1)), ceil(log2 n)) queries.
     """
     config = state.config
     n, k = config.n, config.k
@@ -293,20 +316,12 @@ def find_next(state: SolverState, j: int) -> int:
         probe = (c,) + rj[: lj - 1] + rj[lj:]
         left_side = state.ask_open(probe) == 0
     if left_side:
-        a, b = 1, lj
-    else:
-        a, b = lr, n
-    while b > a:
-        l = (a + b + 1) // 2
-        if left_side:
-            guess = rj[: l - 1] + (c,) + rr[l:lj] + rj[lj:]
-        else:
-            guess = rr[: lr - 1] + rj[lr - 1 : l - 1] + (c,) + rr[l:]
-        if state.ask_open(guess) > 0:
-            b = l - 1
-        else:
-            a = l
-    return b
+        return _bisect(
+            1, lj, lambda l: state.ask_open(rj[: l - 1] + (c,) + rr[l:lj] + rj[lj:]) > 0
+        )
+    return _bisect(
+        lr, n, lambda l: state.ask_open(rr[: lr - 1] + rj[lr - 1 : l - 1] + (c,) + rr[l:]) > 0
+    )
 
 
 def find_next_many_colors(state: SolverState, j: int) -> int:
@@ -321,15 +336,8 @@ def find_next_many_colors(state: SolverState, j: int) -> int:
     r = _successor(j, k)
     rots = state.rotations
     rj, rr = rots[j - 1], rots[r - 1]
-    a, b = 1, n
-    while b > a:
-        l = (a + b + 1) // 2
-        guess = rr[: l - 1] + rj[l - 1 :]
-        if state.ask_open(guess) > 0:
-            a = l
-        else:
-            b = l - 1
-    return a
+    # a positive count puts the match in l..n: the answer's sense is inverted
+    return _bisect(1, n, lambda l: state.ask_open(rr[: l - 1] + rj[l - 1 :]) == 0)
 
 
 def apply_found_component(state: SolverState, j: int, m: int) -> None:
@@ -411,22 +419,22 @@ def solve(oracle: CodemakerOracle, config: GameConfig | None = None) -> tuple[tu
     state = initial_phase(oracle)
     if state.solved_secret is not None:
         return state.solved_secret, state.transcript
-    log_n = ceil_log2(n)
+    budgets = _phase_budgets(n)
     if k == n and state.open_count() > 2:
         if all(c == 1 for c in state.v):
             j = 1
-            m = _run_phase(state, find_first_uniform, n // 2 + 1)
+            m = _run_phase(state, find_first_uniform, budgets["find_first_uniform"])
         else:
             j, _ = select_active_index(state)
-            m = _run_phase(state, find_first, 2 * log_n, j)
+            m = _run_phase(state, find_first, budgets["find_first"], j)
         apply_found_component(state, j, m)
     if k == n:
-        search, budget = find_next, 1 + log_n
+        search, budget = find_next, budgets["find_next"]
     else:
-        search, budget = find_next_many_colors, log_n
+        search, budget = find_next_many_colors, budgets["find_next_many_colors"]
     while state.open_count() > 2:
         j, _ = select_active_index(state)
         m = _run_phase(state, search, budget, j)
         apply_found_component(state, j, m)
-    secret = _run_phase(state, endgame, 2)
+    secret = _run_phase(state, endgame, budgets["endgame"])
     return secret, state.transcript

@@ -25,6 +25,10 @@ def run(argv, capsys):
     return code, captured.out, captured.err
 
 
+def no_game(oracle, config):
+    pytest.fail("a game was played")
+
+
 def answers_for(secret, config=None):
     oracle = StaticCodemaker(secret, config)
     _, transcript = solve(oracle, oracle.config)
@@ -76,7 +80,9 @@ class TestSolveCommand:
         assert out == ""
         assert json.loads(target.read_text())["secret"] == [2, 1, 4, 3]
 
-    def test_unwritable_out_path(self, tmp_path, capsys):
+    def test_unwritable_out_path(self, tmp_path, capsys, monkeypatch):
+        # the path is checked before the game: solve must never be reached
+        monkeypatch.setattr(cli, "solve", no_game)
         target = tmp_path / "missing" / "x"
         code, _, err = run(["solve", "--n", "4", "--seed", "1", "--out", str(target)], capsys)
         assert code == 1
@@ -219,7 +225,8 @@ class TestBenchCommand:
         assert code == 0
         assert out.splitlines()[1] == row
 
-    def test_unwritable_out_path(self, tmp_path, capsys):
+    def test_unwritable_out_path(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "solve", no_game)
         target = tmp_path / "missing" / "x"
         argv = ["bench", "--n", "4", "--samples", "2", "--seed", "1", "--out", str(target)]
         code, _, err = run(argv, capsys)

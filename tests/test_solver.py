@@ -5,6 +5,7 @@ import math
 import random
 
 import pytest
+from hypothesis import example, given, strategies as st
 
 from permmind import (
     OPEN,
@@ -32,7 +33,7 @@ from permmind import (
     solve,
 )
 import permmind.solver
-from permmind.solver import CodemakerOracle
+from permmind.solver import CodemakerOracle, _bisect, _phase_budgets
 
 
 class ScriptedOracle(CodemakerOracle):
@@ -110,6 +111,42 @@ class TestBounds:
         for a in range(1, 40):
             for b in range(a, 40):
                 assert (a + b + 1) // 2 == math.ceil((a + b) / 2)
+
+    @given(*[st.integers(min_value=1, max_value=300)] * 3)
+    @example(7, 7, 7)
+    def test_bisect_halves_to_the_target(self, x, y, z):
+        a, t, b = sorted((x, y, z))
+        asked = []
+
+        def in_prefix(l):
+            asked.append(l)
+            return l > t
+
+        assert _bisect(a, b, in_prefix) == t
+        # ceil_log2(1) == 0: a one-position interval asks nothing
+        assert len(asked) <= ceil_log2(b - a + 1)
+
+    def test_enforced_budgets_prove_the_bound(self):
+        # The most a game can cost with every phase inside its budget:
+        # opening k - 1, one search per position but the last two (the first
+        # square-board one is find_first or find_first_uniform), endgame.
+        # Where that exceeds query_bound, the promise rests on replay
+        # (n <= 8) or on sampled games alone (n = 10..13).
+        unproved = []
+        for n in range(2, 10**5 + 1):
+            budgets = _phase_budgets(n)
+            first = max(budgets["find_first"], budgets["find_first_uniform"])
+            searches = max(n - 2, 0)
+            for k in (n, n + 1, 2 * n):
+                if k > n:
+                    spent = searches * budgets["find_next_many_colors"]
+                elif searches:
+                    spent = first + (searches - 1) * budgets["find_next"]
+                else:
+                    spent = 0
+                if k - 1 + spent + budgets["endgame"] > query_bound(GameConfig(n, k)):
+                    unproved.append((n, k))
+        assert unproved == [(n, n) for n in [*range(3, 9), *range(10, 14)]]
 
 
 class TestInitialPhase:
@@ -449,9 +486,19 @@ class TestSolve:
             assert transcript.query_count <= query_bound(config)
 
     @pytest.mark.parametrize(
-        "phase,k", [("find_next", 8), ("find_next_many_colors", 9), ("endgame", 8)]
+        "phase,n,k,secret",
+        [
+            pytest.param("find_first", 8, 8, (7, 1, 4, 3, 2, 8, 5, 6), id="find_first-8"),
+            pytest.param("find_first_uniform", 5, 5, (1, 3, 5, 2, 4), id="find_first_uniform-5"),
+            pytest.param("find_next", 8, 8, (7, 1, 4, 3, 2, 8, 5, 6), id="find_next-8"),
+            pytest.param(
+                "find_next_many_colors", 8, 9, (7, 1, 4, 3, 2, 8, 5, 6),
+                id="find_next_many_colors-9",
+            ),
+            pytest.param("endgame", 8, 8, (7, 1, 4, 3, 2, 8, 5, 6), id="endgame-8"),
+        ],
     )
-    def test_phase_overspend_raises(self, monkeypatch, phase, k):
+    def test_phase_overspend_raises(self, monkeypatch, phase, n, k, secret):
         original = getattr(permmind.solver, phase)
 
         @functools.wraps(original)
@@ -461,6 +508,6 @@ class TestSolve:
             return original(state, *args)
 
         monkeypatch.setattr(permmind.solver, phase, overspending)
-        config = GameConfig(8, k)
+        config = GameConfig(n, k)
         with pytest.raises(SolverInvariantError, match=f"^{phase} asked"):
-            solve(StaticCodemaker((7, 1, 4, 3, 2, 8, 5, 6), config), config)
+            solve(StaticCodemaker(secret, config), config)
