@@ -33,7 +33,6 @@ from .core import (
     Transcript,
     TranscriptEvent,
     black,
-    black_partial,
     open_matches,
     rotation,
     rotation_family,
@@ -78,7 +77,6 @@ __all__ = [
     "all_injective_codes",
     "apply_found_component",
     "black",
-    "black_partial",
     "ceil_log2",
     "check_transcript",
     "endgame",

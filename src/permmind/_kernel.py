@@ -1,18 +1,21 @@
 """Counting kernels: the black-count comparisons every other module pays for.
 
-Per-code counts (`black_count`, `partial_match_count`) serve the solver's
-per-query path and take tuples or lists.  `partition_by_black` serves
-minimax over many small feasible sets of tuples, and counts inline with
-`sum(map(eq, ...))` instead of calling `black_count`: over thousands of small
-codes that is faster, and it keeps it free of calls through this module's
-globals.  The adversary's kernels, `code_matrix` and `min_black_filter`, work
-on one numpy matrix holding a code per row; numpy is imported inside them
-(`_numpy`), so importing permmind never loads it.  Length validation happens
-in the callers, not here.  `active_backend` names the implementation for
-benchmark metadata; there is only this one.
+Per-code counts serve the solver and take tuples or lists: `black_count`
+is paid on every query, while `partial_match_count` builds, once per search,
+the running counts of a rotation's matches on the fixed positions, so that
+each of the search's queries finds its own by prefix differences in O(1).
+`partition_by_black` serves minimax over many small feasible sets of tuples,
+and counts inline with `sum(map(eq, ...))` instead of calling `black_count`:
+over thousands of small codes that is faster, and it keeps it free of calls
+through this module's globals.  The adversary's kernels, `code_matrix` and
+`min_black_filter`, work on one numpy matrix holding a code per row; numpy is
+imported inside them (`_numpy`), so importing permmind never loads it.
+Length validation happens in the callers, not here.  `active_backend` names
+the implementation for benchmark metadata; there is only this one.
 """
 
 import os
+from itertools import accumulate
 from operator import eq
 
 OPEN = 0
@@ -50,12 +53,10 @@ def black_count(a, b):
 
 
 def partial_match_count(code, partial):
-    """Number of positions where `code` agrees with a non-open entry of `partial`."""
-    count = 0
-    for x, p in zip(code, partial):
-        if p != OPEN and x == p:
-            count += 1
-    return count
+    """Running counts of the positions where `code` agrees with `partial`: a
+    list of n + 1 ints whose entry i counts positions 1..i, so the last is
+    the total.  Colors are 1..k, so an OPEN entry of `partial` never counts."""
+    return [0, *accumulate(map(eq, code, partial))]
 
 
 def code_matrix(n, k):

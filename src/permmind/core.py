@@ -110,20 +110,13 @@ def black(w, x) -> int:
     return _kernel.black_count(w, x)
 
 
-def black_partial(w, partial) -> int:
-    """Black count of `w` against the fixed entries of a partial solution."""
-    if len(w) != len(partial):
-        raise ValueError(f"length mismatch: {len(w)} != {len(partial)}")
-    return _kernel.partial_match_count(w, partial)
-
-
-def open_matches(total_black: int, w, partial) -> int:
-    """Matches of `w` on still-open positions, given its full black count.
+def open_matches(total_black: int, fixed: int) -> int:
+    """Matches of a guess on still-open positions, given its full black count
+    and its `fixed` matches on the positions already identified.
 
     Raises InconsistentOracleError when the result would be negative, which
     means the answers and the fixed components cannot both be right.
     """
-    fixed = black_partial(w, partial)
     diff = total_black - fixed
     if diff < 0:
         raise InconsistentOracleError(

@@ -28,6 +28,7 @@ import itertools
 from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
 
+from ._kernel import partial_match_count
 from .core import (
     OPEN,
     GameConfig,
@@ -104,9 +105,11 @@ class SolverState:
     def ask(self, guess) -> int:
         return self.oracle.answer(guess)
 
-    def ask_open(self, guess) -> int:
-        """Query a guess and return its open-position match count."""
-        return open_matches(self.ask(guess), guess, self.partial)
+    def ask_open(self, guess, fixed: int) -> int:
+        """Query a guess and return its open-position match count.  `fixed`
+        is the guess's number of matches on the identified components,
+        which the searches take from running counts built once per search."""
+        return open_matches(self.ask(guess), fixed)
 
     def record_derived(self, code, count: int) -> None:
         self.transcript.record(code, count, derived=True)
@@ -304,24 +307,29 @@ def find_next(state: SolverState, j: int) -> int:
     r = _successor(j, k)
     rots = state.rotations
     rj, rr = rots[j - 1], rots[r - 1]
-    fixed = [c for c in state.partial if c != OPEN]
-    if not fixed:
-        raise SolverInvariantError("find_next needs an identified component as pivot")
-    c = min(fixed)
+    partial = state.partial
+    try:
+        c = min(filter(None, partial))  # OPEN is 0
+    except ValueError:
+        raise SolverInvariantError("find_next needs an identified component as pivot") from None
     lj = rj.index(c) + 1
-    lr = rr.index(c) + 1
-    if lj == n:
-        left_side = True
-    else:
-        probe = (c,) + rj[: lj - 1] + rj[lj:]
-        left_side = state.ask_open(probe) == 0
-    if left_side:
-        return _bisect(
-            1, lj, lambda l: state.ask_open(rj[: l - 1] + (c,) + rr[l:lj] + rj[lj:]) > 0
-        )
-    return _bisect(
-        lr, n, lambda l: state.ask_open(rr[: lr - 1] + rj[lr - 1 : l - 1] + (c,) + rr[l:]) > 0
-    )
+    fj = partial_match_count(rj, partial)
+    fr = partial_match_count(rr, partial)
+    a, b = 0, lj  # the left side; the right side rebinds them below
+
+    def in_prefix(l):
+        # rotation r on 1..a and l+1..b, rotation j on a+1..l-1 and b+1..n,
+        # the pivot on l; the fixed matches are summed segment by segment
+        guess = rr[:a] + rj[a : l - 1] + (c,) + rr[l:b] + rj[b:]
+        fixed = fr[a] + fj[l - 1] - fj[a] + (partial[l - 1] == c) + fr[b] - fr[l] + fj[n] - fj[b]
+        return state.ask_open(guess, fixed) > 0
+
+    # the probe is the left-side guess at l = 1: rotation r holds rotation
+    # j's colors shifted one slot right, so its 2..l_j are rj's 1..l_j-1
+    if lj == n or not in_prefix(1):
+        return _bisect(1, lj, in_prefix)
+    a, b = lj, n
+    return _bisect(lj + 1, n, in_prefix)
 
 
 def find_next_many_colors(state: SolverState, j: int) -> int:
@@ -336,8 +344,15 @@ def find_next_many_colors(state: SolverState, j: int) -> int:
     r = _successor(j, k)
     rots = state.rotations
     rj, rr = rots[j - 1], rots[r - 1]
-    # a positive count puts the match in l..n: the answer's sense is inverted
-    return _bisect(1, n, lambda l: state.ask_open(rr[: l - 1] + rj[l - 1 :]) == 0)
+    fj = partial_match_count(rj, state.partial)
+    fr = partial_match_count(rr, state.partial)
+
+    def in_prefix(l):
+        # rotation r on 1..l-1, rotation j on l..n; a positive count puts the
+        # match in l..n, so the answer's sense is inverted
+        return state.ask_open(rr[: l - 1] + rj[l - 1 :], fr[l - 1] + fj[n] - fj[l - 1]) == 0
+
+    return _bisect(1, n, in_prefix)
 
 
 def apply_found_component(state: SolverState, j: int, m: int) -> None:

@@ -53,7 +53,7 @@ def test_criterion_01_worked_replay():
         (7, 8, 2, 1, 3, 4, 5, 6),
         (7, 2, 8, 1, 3, 4, 5, 6),
     ]
-    opens = [open_matches(ev.black, ev.guess, state.partial) for ev in tail]
+    opens = [open_matches(ev.black, black(ev.guess, state.partial)) for ev in tail]
     assert opens == [0, 1, 1]
     _report("criterion 1 PASS: worked example replay")
 

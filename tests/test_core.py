@@ -13,7 +13,6 @@ from permmind import (
     InvalidCodeError,
     Transcript,
     black,
-    black_partial,
     open_matches,
     rotation,
     rotation_family,
@@ -151,18 +150,18 @@ class TestCounts:
 
     def test_black_partial_skips_open(self):
         partial = [OPEN, 1, OPEN, 4]
-        assert black_partial((2, 1, 3, 4), partial) == 2
-        assert black_partial((1, 2, 3, 4), partial) == 1
-        assert black_partial((2, 3, 4, 1), partial) == 0
+        assert black((2, 1, 3, 4), partial) == 2
+        assert black((1, 2, 3, 4), partial) == 1
+        assert black((2, 3, 4, 1), partial) == 0
 
     def test_open_matches(self):
         partial = [OPEN, 1, OPEN, 4]
-        assert open_matches(3, (2, 1, 3, 4), partial) == 1
-        assert open_matches(2, (2, 1, 3, 4), partial) == 0
+        assert open_matches(3, black((2, 1, 3, 4), partial)) == 1
+        assert open_matches(2, black((2, 1, 3, 4), partial)) == 0
 
     def test_open_matches_negative_is_inconsistent(self):
         with pytest.raises(InconsistentOracleError):
-            open_matches(1, (2, 1, 3, 4), [OPEN, 1, OPEN, 4])
+            open_matches(1, black((2, 1, 3, 4), [OPEN, 1, OPEN, 4]))
 
 
 class TestRotations:
@@ -227,14 +226,14 @@ class TestFigureVectors:
     def test_partial_matches(self):
         config = GameConfig(8, 8)
         fam = rotation_family(config)
-        fixed = tuple(black_partial(rot, self.PARTIAL) for rot in fam)
+        fixed = tuple(black(rot, self.PARTIAL) for rot in fam)
         assert fixed == (0, 0, 2, 1, 0, 0, 0, 0)
 
     def test_open_matches(self):
         config = GameConfig(8, 8)
         fam = rotation_family(config)
         opens = tuple(
-            open_matches(black(rot, self.SECRET), rot, self.PARTIAL) for rot in fam
+            open_matches(black(rot, self.SECRET), black(rot, self.PARTIAL)) for rot in fam
         )
         assert opens == (0, 2, 1, 0, 0, 0, 1, 1)
 

@@ -40,13 +40,18 @@ def test_black_count_counts_agreeing_positions(drawn):
         assert black_count(m, guess) == sum(x == y for x, y in zip(m, guess))
 
 
-@given(codes_and_guess())
-def test_partial_match_count_ignores_open_positions(drawn):
+@given(codes_and_guess(), st.data())
+def test_partial_match_count_ignores_open_positions(drawn, data):
+    # entry i is the count over positions 1..i, for any pattern of OPEN holes
     members, guess = drawn
+    n = len(guess)
     for m in members:
-        half = len(m) // 2
-        partial = (OPEN,) * half + m[half:]
-        assert partial_match_count(guess, partial) == black_count(guess[half:], m[half:])
+        opened = data.draw(st.lists(st.booleans(), min_size=n, max_size=n))
+        partial = tuple(OPEN if o else x for o, x in zip(opened, m))
+        assert partial_match_count(guess, partial) == [
+            sum(1 for x, p in zip(guess[:i], partial[:i]) if p != OPEN and x == p)
+            for i in range(n + 1)
+        ]
 
 
 @given(codes_and_guess())
@@ -78,7 +83,7 @@ def test_empty_filter_raises():
 
 def test_accepts_lists_too():
     assert black_count([1, 2, 3], (1, 3, 2)) == 1
-    assert partial_match_count((1, 2, 3), [0, 2, 0]) == 1
+    assert partial_match_count((1, 2, 3), [0, 2, 0])[-1] == 1
     count, survivors = min_black_filter(np.array([[1, 2, 3], [3, 2, 1]]), [1, 3, 2])
     assert (count, survivors.tolist()) == (0, [[3, 2, 1]])
     assert partition_by_black([[1, 2, 3], [3, 2, 1]], [1, 3, 2]) == {1: [[1, 2, 3]], 0: [[3, 2, 1]]}

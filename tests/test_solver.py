@@ -17,7 +17,6 @@ from permmind import (
     all_injective_codes,
     apply_found_component,
     black,
-    black_partial,
     bound_enforced,
     ceil_log2,
     endgame,
@@ -68,7 +67,7 @@ class FixedOnlyOracle(CodemakerOracle):
         self.state = state
 
     def _respond(self, guess):
-        return black_partial(guess, self.state.partial)
+        return black(guess, self.state.partial)
 
 
 def state_for(secret, config=None):
@@ -105,12 +104,6 @@ class TestBounds:
         assert bound_enforced(GameConfig(3, 3))
         assert bound_enforced(GameConfig(4, 4))
         assert bound_enforced(GameConfig(2, 3))
-
-    def test_midpoint_rounds_up(self):
-        # the split point is written (a + b + 1) // 2 for ceil((a + b) / 2)
-        for a in range(1, 40):
-            for b in range(a, 40):
-                assert (a + b + 1) // 2 == math.ceil((a + b) / 2)
 
     @given(*[st.integers(min_value=1, max_value=300)] * 3)
     @example(7, 7, 7)
@@ -328,7 +321,7 @@ class TestFindNext:
             ((7, 8, 2, 1, 3, 4, 5, 6), 3),
             ((7, 2, 8, 1, 3, 4, 5, 6), 3),
         ]
-        opens = [open_matches(ev.black, ev.guess, state.partial) for ev in tail]
+        opens = [open_matches(ev.black, black(ev.guess, state.partial)) for ev in tail]
         assert opens == [0, 1, 1]
 
     def test_replay_pivot_at_last_slot(self):
@@ -472,6 +465,34 @@ class TestSolve:
         oracle = StaticCodemaker((2, 1, 3))
         with pytest.raises(ValueError):
             solve(oracle, GameConfig(4, 4))
+
+    @pytest.mark.parametrize("wide", [False, True], ids=["square", "wide"])
+    def test_fixed_counts_are_black_counts_on_the_partial(self, monkeypatch, wide):
+        # the searches count a guess's fixed matches from running counts built
+        # once per search; each must equal a fresh count against the partial
+        states, counts = [], []
+
+        def recording_initial_phase(oracle):
+            state = initial_phase(oracle)
+            states.append(state)
+            return state
+
+        def checked_open_matches(total_black, fixed):
+            state = states[-1]
+            assert fixed == black(state.transcript.events[-1].guess, state.partial)
+            counts.append(fixed)
+            return open_matches(total_black, fixed)
+
+        monkeypatch.setattr(permmind.solver, "initial_phase", recording_initial_phase)
+        monkeypatch.setattr(permmind.solver, "open_matches", checked_open_matches)
+        rng = random.Random(12)
+        for _ in range(60):
+            n = rng.randint(3, 40)
+            config = GameConfig(n, n + rng.randint(1, n) if wide else n)
+            secret = tuple(rng.sample(range(1, config.k + 1), n))
+            assert solve(StaticCodemaker(secret, config), config)[0] == secret
+        assert len(states) == 60
+        assert max(counts) > 1
 
     @pytest.mark.parametrize(
         "n,k", [(2, 2), (3, 3), (4, 4), (5, 5), (6, 6), (3, 5), (4, 6), (2, 3), (2, 4)]
