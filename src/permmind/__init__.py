@@ -30,6 +30,8 @@ from .core import (
     GameConfig,
     InconsistentOracleError,
     InvalidCodeError,
+    Splice,
+    SpliceEvent,
     Transcript,
     TranscriptEvent,
     black,
@@ -69,6 +71,8 @@ __all__ = [
     "LemmaViolationError",
     "SolverInvariantError",
     "SolverState",
+    "Splice",
+    "SpliceEvent",
     "StaticCodemaker",
     "Transcript",
     "TranscriptEvent",

@@ -1,9 +1,14 @@
 """Counting kernels: the black-count comparisons every other module pays for.
 
 Per-code counts serve the solver and take tuples or lists: `black_count`
-is paid on every query, while `partial_match_count` builds, once per search,
-the running counts of a rotation's matches on the fixed positions, so that
-each of the search's queries finds its own by prefix differences in O(1).
+scans two codes, while `partial_match_count` builds, once per search, the
+running counts of a rotation's matches on the fixed positions, so that each
+of the search's queries finds its own by prefix differences in O(1).  On
+large boards a guess is a splice of rotation runs (`core.Splice`), and its
+count against a code comes from that code's rotation profile, built once
+per code by `rotation_profile`: `profile_count` counts each run's rotation
+in the profile with `str.count`, at C speed, so no query scans its n pegs
+in Python.
 `partition_by_black` serves minimax over many small feasible sets of tuples,
 and counts inline with `sum(map(eq, ...))` instead of calling `black_count`:
 over thousands of small codes that is faster, and it keeps it free of calls
@@ -50,6 +55,24 @@ def black_count(a, b):
         if x == y:
             count += 1
     return count
+
+
+def rotation_profile(code, k):
+    """A string holding, at each position i, chr(j) for the one rotation j
+    that agrees with `code` there: j = ((i - y_i) mod k) + 1.  An OPEN entry
+    agrees with no rotation and holds chr(0)."""
+    return "".join([chr((i - y) % k + 1) if y else "\0" for i, y in enumerate(code, 1)])
+
+
+def profile_count(profile, runs):
+    """Positions where the code of `profile` agrees with the splice of
+    `runs`, flat triples j, a, b meaning rotation j on positions a..b."""
+    count = profile.count
+    total = 0
+    it = iter(runs)
+    for j, a, b in zip(it, it, it):
+        total += count(chr(j), a - 1, b)
+    return total
 
 
 def partial_match_count(code, partial):

@@ -21,7 +21,14 @@ from .codemaker import (
     all_injective_codes,
     injective_code_count,
 )
-from .core import CapacityError, GameConfig, Transcript, black, rotation_family
+from .core import (
+    CapacityError,
+    GameConfig,
+    SpliceEvent,
+    Transcript,
+    first_miscount,
+    rotation_family,
+)
 from .solver import query_bound, solve
 
 MINIMAX_SOFT_LIMIT = 32
@@ -41,11 +48,15 @@ def check_transcript(transcript: Transcript, secret=None) -> int | None:
     n, k = config.n, config.k
     events = transcript.events
     if secret is not None:
-        for idx, ev in enumerate(events):
-            if black(ev.guess, secret) != ev.black:
-                return idx
+        bad = first_miscount(events, secret)
+        if bad is not None:
+            return bad
     family = rotation_family(config)
-    if len(events) >= k and tuple(ev.guess for ev in events[:k]) == family:
+    # a spliced rotation is recognised by its runs, without rebuilding it
+    if len(events) >= k and all(
+        (type(ev) is SpliceEvent and ev.runs == (j, 1, n)) or ev.guess == family[j - 1]
+        for j, ev in enumerate(events[:k], start=1)
+    ):
         if sum(ev.black for ev in events[:k]) != n:
             return k - 1
     return None

@@ -23,12 +23,14 @@ from __future__ import annotations
 import itertools
 import math
 import os
+from functools import cached_property
 
 from . import _kernel
 from .core import (
     GameConfig,
     InconsistentOracleError,
     CapacityError,
+    Splice,
     black,
     validate_code,
 )
@@ -77,7 +79,11 @@ def _check_capacity(config: GameConfig, max_states: int | None, what: str) -> in
 
 
 class StaticCodemaker(CodemakerOracle):
-    """Honest oracle for a fixed secret."""
+    """Honest oracle for a fixed secret.
+
+    A `Splice` of the board is answered by run, on the secret's rotation
+    profile, built at the first one; other guesses by a scan.
+    """
 
     def __init__(self, secret, config: GameConfig | None = None):
         secret = tuple(secret)
@@ -90,7 +96,13 @@ class StaticCodemaker(CodemakerOracle):
         super().__init__(config)
         self.secret = secret
 
+    @cached_property
+    def profile(self) -> str:
+        return _kernel.rotation_profile(self.secret, self.config.k)
+
     def _respond(self, guess: tuple) -> int:
+        if type(guess) is Splice and len(guess.rotations) == self.config.k:
+            return _kernel.profile_count(self.profile, guess.runs)
         return black(guess, self.secret)
 
 

@@ -14,6 +14,16 @@ solver buy the last rotation's count for free and is rechecked by the
 transcript auditor.
 
 Partial solutions use 0 (OPEN) for holes whose color is still unknown.
+
+Position i agrees with exactly one rotation, ((i - y_i) mod k) + 1 for a code
+y, and every guess of the solver's searches is spliced from rotation slices
+and at most two single pegs.  A `Splice` is such a code kept with its runs
+(rotation j on positions a..b), so validation reduces to checking that the
+runs' color arcs on the k-cycle are disjoint, a black count to counting each
+run's rotation in the other code's rotation profile (`_kernel`), and a
+transcript stores the runs instead of the n colors (`SpliceEvent`).  The
+solver asks splices on boards of at least `solver.SPLICE_MIN_HOLES` holes;
+every other code is a plain tuple and takes the plain paths.
 """
 
 from __future__ import annotations
@@ -78,11 +88,17 @@ def validate_code(code, config: GameConfig) -> None:
     entry is an exact int (bools, floats and numpy ints are not colors), the
     entries meet the palette 1..k in n distinct colors exactly when the code
     is valid.  The type test comes first, so no unhashable entry is ever
-    hashed.  A code the fast test refuses is therefore invalid, and the loop
-    runs only to name its first violation in position order.
+    hashed.  A `Splice` of the board takes a test that never looks at its n
+    colors: its runs' color arcs must be pairwise disjoint.  A code the fast
+    test refuses is checked, and its first violation named in position
+    order, by the loop.
     """
     n = config.n
-    if (
+    if type(code) is Splice:
+        k = config.k
+        if len(code) == n and len(code.rotations) == k and _arcs_disjoint(code.runs, k):
+            return
+    elif (
         len(code) == n
         and set(map(type, code)) == {int}
         and len(config.palette.intersection(code)) == n
@@ -143,7 +159,58 @@ def rotation_family(config: GameConfig) -> tuple:
     return tuple(rotation(j, config) for j in range(1, config.k + 1))
 
 
-@dataclass
+class Splice(tuple):
+    """A code spliced from rotation slices, kept with the runs it came from.
+
+    The runs are given flat: j, a, b for each run in position order, meaning
+    "rotation j on positions a..b"; an empty run, b = a - 1, is dropped from
+    `runs`.  A peg of color c at position p is the one-position run of
+    rotation ((p - c) mod k) + 1.  `rotations` must be the board's
+    `rotation_family`.  The code concatenates the rotation slices, so it
+    equals, and hashes like, the plain tuple.  Raises ValueError when the runs
+    do not tile 1..n.
+    """
+
+    def __new__(cls, rotations, runs):
+        code = kept = ()
+        end = 0
+        it = iter(runs)
+        for j, a, b in zip(it, it, it):
+            if not (a == end + 1 and b >= end and 0 < j <= len(rotations)):
+                raise ValueError(f"run ({j}, {a}, {b}) does not continue positions 1..{end}")
+            if b > end:
+                code += rotations[j - 1][end:b]
+                kept += (j, a, b)
+                end = b
+        n = len(rotations[0])
+        if len(runs) % 3 or end != n:
+            raise ValueError(f"runs {runs} do not tile positions 1..{n}")
+        self = tuple.__new__(cls, code)
+        self.rotations = rotations
+        self.runs = kept
+        return self
+
+    def __reduce__(self):
+        # tuple's own reduce would pass the colors as `rotations`
+        return Splice, (self.rotations, self.runs)
+
+
+def _arcs_disjoint(runs, k: int) -> bool:
+    """Whether no color repeats across nonempty runs.  Run (j, a, b) shows the
+    colors of an arc of the k-cycle: b - a + 1 consecutive colors, starting
+    at color index (a - j) mod k.  After sorting by start, each arc must end
+    before the next starts, and the last, wrapped past k, before the first."""
+    it = iter(runs)
+    arcs = sorted([((a - j) % k, b - a + 1) for j, a, b in zip(it, it, it)])
+    end = arcs[-1][0] + arcs[-1][1] - k
+    for start, length in arcs:
+        if start < end:
+            return False
+        end = start + length
+    return True
+
+
+@dataclass(slots=True)
 class TranscriptEvent:
     """One recorded fact: a code and its black count.
 
@@ -157,18 +224,65 @@ class TranscriptEvent:
     derived: bool = False
 
 
+@dataclass(slots=True, eq=False)
+class SpliceEvent:
+    """A recorded `Splice`, kept as its runs: at most 15 ints instead of n.
+
+    `guess` rebuilds the code when read.  It compares equal to any event with
+    the same guess, count and flag.
+    """
+
+    rotations: tuple = field(repr=False)
+    runs: tuple
+    black: int
+    derived: bool = False
+
+    @property
+    def guess(self) -> Splice:
+        return Splice(self.rotations, self.runs)
+
+    def __eq__(self, other):
+        if not isinstance(other, (TranscriptEvent, SpliceEvent)):
+            return NotImplemented
+        return (self.black, self.derived, self.guess) == (other.black, other.derived, other.guess)
+
+    __hash__ = None
+
+
+def first_miscount(events, code) -> int | None:
+    """Index of the first event whose recorded count is not its black count
+    against `code`, or None.  Spliced events are counted by run, on `code`'s
+    rotation profile, built at the first of them."""
+    profile = None
+    for idx, ev in enumerate(events):
+        if type(ev) is SpliceEvent:
+            if profile is None:
+                profile = _kernel.rotation_profile(code, len(ev.rotations))
+            count = _kernel.profile_count(profile, ev.runs)
+        else:
+            count = black(ev.guess, code)
+        if count != ev.black:
+            return idx
+    return None
+
+
 @dataclass
 class Transcript:
     """Ordered audit trail of one game."""
 
     config: GameConfig
-    events: list[TranscriptEvent] = field(default_factory=list)
+    events: list = field(default_factory=list)
     notes: list[tuple] = field(default_factory=list)
 
-    def record(self, guess, count: int, derived: bool = False) -> TranscriptEvent:
+    def record(self, guess, count: int, derived: bool = False):
+        """Append and return an event: a `SpliceEvent` for a `Splice`, else a
+        `TranscriptEvent` holding the guess as a tuple."""
         if not 0 <= count <= self.config.n:
             raise ValueError(f"black count {count} outside 0..{self.config.n}")
-        event = TranscriptEvent(tuple(guess), count, derived)
+        if type(guess) is Splice:
+            event = SpliceEvent(guess.rotations, guess.runs, count, derived)
+        else:
+            event = TranscriptEvent(tuple(guess), count, derived)
         self.events.append(event)
         return event
 
@@ -176,5 +290,5 @@ class Transcript:
     def query_count(self) -> int:
         return sum(1 for ev in self.events if not ev.derived)
 
-    def queried_events(self) -> list[TranscriptEvent]:
+    def queried_events(self) -> list:
         return [ev for ev in self.events if not ev.derived]

@@ -89,9 +89,10 @@ def test_every_name_the_benchmark_reads_resolves():
 
 
 # Inputs of each workload's kind, small enough to play in about a second;
-# they replace the workload's own attributes of the same names.
+# they replace the workload's own attributes of the same names.  The 64-hole
+# board, at SPLICE_MIN_HOLES, plays the solver's spliced path.
 SMALL_INPUTS = {
-    "solve_large": {"boards": [[16, 16], [16, 20]], "games": 4},
+    "solve_large": {"boards": [[16, 16], [16, 20], [64, 64]], "games": 4},
     "exhaustive_small": {"boards": [[5, 5], [4, 6]]},
     "adversary_wide": {"boards": [[5, 5], [4, 6]]},
     "minimax_tiny": {"boards": [[3, 3]], "expected": {"3x3": {"value": 4}}},

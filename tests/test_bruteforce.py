@@ -1,6 +1,7 @@
 """Exhaustive replay auditing and exact game-tree search."""
 
 import random
+from dataclasses import replace
 from itertools import permutations
 from math import factorial
 
@@ -9,6 +10,8 @@ import pytest
 from permmind import (
     CapacityError,
     GameConfig,
+    Splice,
+    SpliceEvent,
     Transcript,
     TranscriptEvent,
     all_injective_codes,
@@ -32,26 +35,40 @@ def _played_transcript(secret, config=None):
     return transcript
 
 
+def _played_games():
+    """(secret, transcript) on (4,4), and on a square and a wide board large
+    enough that the solver records its guesses as `SpliceEvent`s."""
+    yield (2, 1, 4, 3), _played_transcript((2, 1, 4, 3))
+    rng = random.Random(5)
+    for n, k in ((64, 64), (64, 80)):
+        secret = tuple(rng.sample(range(1, k + 1), n))
+        transcript = _played_transcript(secret, GameConfig(n, k))
+        assert type(transcript.events[0]) is SpliceEvent
+        yield secret, transcript
+
+
+def _miscounted(ev, n):
+    return replace(ev, black=(ev.black + 1) % (n + 1))
+
+
 class TestCheckTranscript:
     def test_clean_game_passes(self):
-        transcript = _played_transcript((2, 1, 4, 3))
-        assert check_transcript(transcript, (2, 1, 4, 3)) is None
+        for secret, transcript in _played_games():
+            assert check_transcript(transcript, secret) is None
 
     def test_derived_events_are_audited_too(self):
-        transcript = _played_transcript((2, 1, 4, 3))
-        idx = next(i for i, ev in enumerate(transcript.events) if ev.derived)
-        ev = transcript.events[idx]
-        transcript.events[idx] = TranscriptEvent(ev.guess, (ev.black + 1) % 5, True)
-        assert check_transcript(transcript, (2, 1, 4, 3)) == idx
+        for secret, transcript in _played_games():
+            idx = next(i for i, ev in enumerate(transcript.events) if ev.derived)
+            transcript.events[idx] = _miscounted(transcript.events[idx], len(secret))
+            assert check_transcript(transcript, secret) == idx
 
     def test_reports_first_bad_event(self):
-        transcript = _played_transcript((2, 1, 4, 3))
-        for idx in (0, 2):
-            ev = transcript.events[idx]
-            transcript.events[idx] = TranscriptEvent(
-                ev.guess, (ev.black + 1) % 5, ev.derived
-            )
-        assert check_transcript(transcript, (2, 1, 4, 3)) == 0
+        for secret, transcript in _played_games():
+            events = transcript.events
+            search = len(events) - 3  # a search guess, spliced on the larger boards
+            for idx in (search, 2, 0):
+                events[idx] = _miscounted(events[idx], len(secret))
+                assert check_transcript(transcript, secret) == idx
 
     def test_family_sum_checked_without_secret(self):
         config = GameConfig(3, 3)
@@ -63,6 +80,20 @@ class TestCheckTranscript:
         for rot, answer in zip(rotation_family(config), (1, 1, 0)):
             bad.record(rot, answer)
         assert check_transcript(bad) == 2
+
+    def test_spliced_family_is_recognised(self):
+        config = GameConfig(4, 5)
+        rots = rotation_family(config)
+        for split in (False, True):  # one run per rotation, or two
+            transcript = Transcript(config)
+            for j in range(1, 6):
+                runs = (j, 1, 2, j, 3, 4) if split else (j, 1, 4)
+                transcript.record(Splice(rots, runs), 1)
+            assert check_transcript(transcript) == 4  # five counts of 1 are not 4
+        shifted = Transcript(config)
+        for j in range(1, 6):
+            shifted.record(Splice(rots, (j % 5 + 1, 1, 4)), 1)
+        assert check_transcript(shifted) is None  # not in family order: no sum
 
     def test_no_family_no_sum_check(self):
         config = GameConfig(3, 3)

@@ -1,5 +1,6 @@
 """Command line behavior: subcommands, formats, exit codes."""
 
+import hashlib
 import io
 import json
 import random
@@ -100,6 +101,25 @@ class TestSolveCommand:
     def test_requires_secret_or_seed(self, capsys):
         code, _, err = run(["solve", "--n", "4"], capsys)
         assert code == 1
+
+    @pytest.mark.parametrize(
+        "extra,size,digest",
+        [
+            ([], 88188, "6063ce1ff2d717fd06b806ae68d72f212fa4ed5a4fb5e6fe9c59c88e967bdb3d"),
+            (
+                ["--json"],
+                378536,
+                "13bc0a101865afff1a6fe83674f5b9234bcc7b6141c11e74e83c8072682089e0",
+            ),
+        ],
+        ids=["text", "json"],
+    )
+    def test_spliced_game_output_is_pinned(self, extra, size, digest, capsys):
+        # n = 64 asks splices; its output, byte for byte, as tuples printed it
+        code, out, _ = run(["solve", "--n", "64", "--seed", "1", *extra], capsys)
+        assert code == 0
+        assert len(out.encode()) == size
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
 
     def test_wide_board(self, capsys):
         code, out, _ = run(
@@ -224,6 +244,14 @@ class TestBenchCommand:
         code, out, _ = run(argv, capsys)
         assert code == 0
         assert out.splitlines()[1] == row
+
+    def test_spliced_games_row(self, capsys):
+        code, out, _ = run(["bench", "--n", "64", "--samples", "3", "--seed", "1"], capsys)
+        assert code == 0
+        assert out == (
+            "n,k,samples,seed,max_queries,mean_queries,bound,bound_ok\n"
+            "64,64,3,1,458,452,525,true\n"
+        )
 
     def test_unwritable_out_path(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setattr(cli, "solve", no_game)

@@ -11,13 +11,18 @@ from permmind import (
     GameConfig,
     InconsistentOracleError,
     InvalidCodeError,
+    Splice,
+    SpliceEvent,
     Transcript,
+    TranscriptEvent,
     black,
     open_matches,
     rotation,
     rotation_family,
     validate_code,
 )
+from permmind._kernel import black_count, profile_count, rotation_profile
+from permmind.core import _arcs_disjoint
 
 
 @st.composite
@@ -26,6 +31,123 @@ def board_and_codes(draw, max_k=9, count=2):
     n = draw(st.integers(min_value=2, max_value=k))
     codes = [tuple(draw(st.permutations(range(1, k + 1)))[:n]) for _ in range(count)]
     return GameConfig(n, k), codes
+
+
+@st.composite
+def board_and_splice(draw, max_k=12):
+    """A board and a splice of its rotations.  Half are random runs, whose
+    color arcs often overlap; half are one-peg runs, some spelling an
+    injective code.  Empty runs are slipped in at random."""
+    k = draw(st.integers(min_value=2, max_value=max_k))
+    n = draw(st.integers(min_value=2, max_value=k))
+    if draw(st.booleans()):
+        cuts = sorted(draw(st.sets(st.integers(min_value=1, max_value=n - 1), max_size=4)))
+        bounds = [0, *cuts, n]
+        js = [draw(st.integers(min_value=1, max_value=k)) for _ in bounds[1:]]
+    else:
+        bounds = list(range(n + 1))
+        if draw(st.booleans()):
+            code = draw(st.permutations(range(1, k + 1)))[:n]
+        else:
+            code = draw(st.lists(st.integers(min_value=1, max_value=k), min_size=n, max_size=n))
+        js = [(p - c) % k + 1 for p, c in enumerate(code, start=1)]
+    runs = []
+    for j, a, b in zip(js, bounds, bounds[1:]):
+        if draw(st.booleans()):
+            runs += [draw(st.integers(min_value=1, max_value=k)), a + 1, a]  # empty
+        runs += [j, a + 1, b]
+    return GameConfig(n, k), tuple(runs)
+
+
+def _verdict(code, config):
+    try:
+        validate_code(code, config)
+    except InvalidCodeError as exc:
+        return exc.reason, str(exc)
+    return None
+
+
+class TestSplice:
+    @given(board_and_splice())
+    def test_equals_the_concatenated_rotation_slices(self, drawn):
+        config, runs = drawn
+        fam = rotation_family(config)
+        splice = Splice(fam, runs)
+        it = iter(runs)
+        assert splice == tuple(c for j, a, b in zip(it, it, it) for c in fam[j - 1][a - 1 : b])
+        assert hash(splice) == hash(tuple(splice))
+        it = iter(splice.runs)
+        assert all(b >= a for _, a, b in zip(it, it, it))  # empty runs dropped
+
+    @given(board_and_splice())
+    def test_validation_agrees_with_the_plain_tuple(self, drawn):
+        config, runs = drawn
+        splice = Splice(rotation_family(config), runs)
+        plain = _verdict(tuple(splice), config)
+        assert _verdict(splice, config) == plain
+        # the arc test alone decides a splice of the board's own rotations
+        assert _arcs_disjoint(splice.runs, config.k) == (plain is None)
+
+    def test_refuses_an_arc_wrapping_onto_another(self):
+        config = GameConfig(3, 4)
+        # rotation 2 on 1..2 shows 4 1, wrapping past k; the peg at 3 repeats 1
+        splice = Splice(rotation_family(config), (2, 1, 2, 3, 3, 3))
+        assert splice == (4, 1, 1)
+        assert _verdict(splice, config) == (
+            "duplicate", "color 1 appears more than once (position 3)"
+        )
+
+    @given(board_and_splice(), st.data())
+    def test_run_count_is_the_black_count(self, drawn, data):
+        config, runs = drawn
+        n, k = config.n, config.k
+        splice = Splice(rotation_family(config), runs)
+        code = tuple(data.draw(st.permutations(range(1, k + 1)))[:n])
+        opened = data.draw(st.lists(st.booleans(), min_size=n, max_size=n))
+        partial = tuple(OPEN if o else c for o, c in zip(opened, code))
+        for other in (code, partial):
+            profile = rotation_profile(other, k)
+            assert profile_count(profile, splice.runs) == black_count(tuple(splice), other)
+
+    @given(board_and_splice(), st.data())
+    def test_rejects_runs_that_do_not_tile(self, drawn, data):
+        config, runs = drawn
+        n, k = config.n, config.k
+        i = 3 * data.draw(st.integers(min_value=0, max_value=len(runs) // 3 - 1))
+        j, a, b = runs[i : i + 3]
+        broken = data.draw(
+            st.sampled_from(
+                [
+                    runs[:i] + runs[i + 3 :] if b >= a else runs + (j, n + 1, n + 1),  # gap
+                    runs[:i] + (j, a + 1, b) + runs[i + 3 :] if b >= a else runs[:-1],  # gap
+                    runs[:i] + (j, a - 1, b) + runs[i + 3 :],  # overlap
+                    runs[:i] + (j, a, a - 2) + runs[i + 3 :],  # reversed
+                    runs + (1, n + 1, n + 1),  # past n
+                    runs[:-3] + (runs[-3], runs[-2], n - 1),  # short of n
+                    runs[:-1],  # a torn triple
+                    runs[:i] + (0, a, b) + runs[i + 3 :],  # no rotation 0
+                    runs[:i] + (k + 1, a, b) + runs[i + 3 :],  # nor k + 1
+                ]
+            )
+        )
+        with pytest.raises(ValueError):
+            Splice(rotation_family(config), broken)
+
+    def test_records_as_its_runs(self):
+        config = GameConfig(4, 5)
+        transcript = Transcript(config)
+        # rotation 2 on 1..2 shows 5 1, rotation 1 on 3..4 shows 3 4
+        splice = Splice(rotation_family(config), (2, 1, 2, 1, 3, 4))
+        copied = pickle.loads(pickle.dumps(splice))
+        assert copied == splice and copied.runs == splice.runs
+        event = transcript.record(splice, 1)
+        assert type(event) is SpliceEvent and event.runs == (2, 1, 2, 1, 3, 4)
+        assert event.guess == (5, 1, 3, 4)
+        plain = TranscriptEvent((5, 1, 3, 4), 1)
+        assert event == plain and plain == event
+        assert event != TranscriptEvent((5, 1, 3, 4), 2)
+        assert event != TranscriptEvent((5, 1, 3, 4), 1, derived=True)
+        assert event != TranscriptEvent((5, 1, 4, 3), 1)
 
 
 class TestGameConfig:

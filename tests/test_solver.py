@@ -3,6 +3,7 @@
 import functools
 import math
 import random
+import tracemalloc
 
 import pytest
 from hypothesis import example, given, strategies as st
@@ -13,6 +14,7 @@ from permmind import (
     InconsistentOracleError,
     SolverInvariantError,
     SolverState,
+    SpliceEvent,
     StaticCodemaker,
     all_injective_codes,
     apply_found_component,
@@ -532,3 +534,103 @@ class TestSolve:
         config = GameConfig(n, k)
         with pytest.raises(SolverInvariantError, match=f"^{phase} asked"):
             solve(StaticCodemaker(secret, config), config)
+
+
+class LyingCodemaker(StaticCodemaker):
+    """Answers for its secret, except that query `lie_at` (1-based) is told
+    one too high, or one too low when it is already n."""
+
+    def __init__(self, secret, config, lie_at):
+        super().__init__(secret, config)
+        self.lie_at = lie_at
+
+    def _respond(self, guess):
+        count = super()._respond(guess)
+        if self.transcript.query_count + 1 == self.lie_at:
+            count += 1 if count < self.config.n else -1
+        return count
+
+
+class RecordingCodemaker(StaticCodemaker):
+    """An honest oracle that keeps every guess it was asked, as a tuple."""
+
+    def __init__(self, secret, config):
+        super().__init__(secret, config)
+        self.asked = []
+
+    def _respond(self, guess):
+        self.asked.append(tuple(guess))
+        return super()._respond(guess)
+
+
+class TestSplicedBoards:
+    """From SPLICE_MIN_HOLES holes on, the solver asks and records splices."""
+
+    BOARDS = [(64, 64), (64, 80)]  # at SPLICE_MIN_HOLES
+
+    @pytest.mark.parametrize("n,k", BOARDS)
+    def test_recorded_guesses_are_the_asked_ones(self, n, k):
+        config = GameConfig(n, k)
+        rng = random.Random(n + k)
+        for _ in range(20):
+            secret = tuple(rng.sample(range(1, k + 1), n))
+            oracle = RecordingCodemaker(secret, config)
+            recovered, transcript = solve(oracle, config)
+            assert recovered == secret
+            queried = transcript.queried_events()
+            assert [ev.guess for ev in queried] == oracle.asked
+            assert [ev.black for ev in queried] == [black(g, secret) for g in oracle.asked]
+            assert sum(type(ev) is SpliceEvent for ev in queried) >= len(queried) - 2
+
+    @pytest.mark.parametrize("n,k", BOARDS)
+    def test_a_lie_is_caught(self, n, k):
+        config = GameConfig(n, k)
+        rng = random.Random(n * k)
+        secret = tuple(rng.sample(range(1, k + 1), n))
+        queries = solve(StaticCodemaker(secret, config), config)[1].query_count
+        # in the opening, in the first searches, midway and at the last search
+        for lie_at in (1, k // 2, k + 1, k + 5, queries // 2, queries - 2):
+            with pytest.raises(InconsistentOracleError):
+                solve(LyingCodemaker(secret, config, lie_at), config)
+
+    @pytest.mark.parametrize(
+        "n,k", [(4, 4), (5, 5), (6, 6), (4, 6), (5, 7)]
+    )
+    def test_small_boards_splice_the_same_guesses(self, monkeypatch, n, k):
+        # every secret, played on tuples and then with every board spliced
+        config = GameConfig(n, k)
+        secrets = list(all_injective_codes(config))
+        plain = [solve(StaticCodemaker(secret, config), config)[1] for secret in secrets]
+        monkeypatch.setattr(permmind.solver, "SPLICE_MIN_HOLES", 2)
+        for secret, expected in zip(secrets, plain):
+            recovered, transcript = solve(StaticCodemaker(secret, config), config)
+            assert recovered == secret
+            assert transcript.events == expected.events
+            assert transcript.notes == expected.notes
+            assert type(transcript.events[0]) is SpliceEvent
+
+    @pytest.mark.parametrize("n,k", BOARDS + [(65, 65), (100, 131)])
+    def test_large_boards_splice_the_tuple_guesses(self, monkeypatch, n, k):
+        config = GameConfig(n, k)
+        rng = random.Random(n - k)
+        secrets = [tuple(rng.sample(range(1, k + 1), n)) for _ in range(3)]
+        spliced = [solve(StaticCodemaker(secret, config), config)[1] for secret in secrets]
+        monkeypatch.setattr(permmind.solver, "SPLICE_MIN_HOLES", n + 1)
+        for secret, expected in zip(secrets, spliced):
+            transcript = solve(StaticCodemaker(secret, config), config)[1]
+            assert not any(type(ev) is SpliceEvent for ev in transcript.events)
+            assert transcript.events == expected.events
+
+    def test_a_large_transcript_holds_runs_not_codes(self):
+        # 256 pegs a query would take 4.6 MB here; runs take about 15 ints
+        config = GameConfig(256, 256)
+        secret = tuple(random.Random(1).sample(range(1, 257), 256))
+        rotation_family(config)  # cached for the process, not the game's
+        tracemalloc.start()
+        try:
+            _, transcript = solve(StaticCodemaker(secret, config), config)
+            held, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert transcript.query_count > 2000
+        assert held < 1_000_000
