@@ -31,7 +31,6 @@ from .core import (
     InconsistentOracleError,
     InvalidCodeError,
     Splice,
-    SpliceEvent,
     Transcript,
     TranscriptEvent,
     black,
@@ -72,7 +71,6 @@ __all__ = [
     "SolverInvariantError",
     "SolverState",
     "Splice",
-    "SpliceEvent",
     "StaticCodemaker",
     "Transcript",
     "TranscriptEvent",

@@ -24,7 +24,7 @@ from .codemaker import (
 from .core import (
     CapacityError,
     GameConfig,
-    SpliceEvent,
+    Splice,
     Transcript,
     first_miscount,
     rotation_family,
@@ -54,7 +54,7 @@ def check_transcript(transcript: Transcript, secret=None) -> int | None:
     family = rotation_family(config)
     # a spliced rotation is recognised by its runs, without rebuilding it
     if len(events) >= k and all(
-        (type(ev) is SpliceEvent and ev.runs == (j, 1, n)) or ev.guess == family[j - 1]
+        (type(ev.guess) is Splice and ev.guess.runs == (j, 1, n)) or ev.guess == family[j - 1]
         for j, ev in enumerate(events[:k], start=1)
     ):
         if sum(ev.black for ev in events[:k]) != n:

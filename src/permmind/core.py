@@ -17,11 +17,11 @@ Partial solutions use 0 (OPEN) for holes whose color is still unknown.
 
 Position i agrees with exactly one rotation, ((i - y_i) mod k) + 1 for a code
 y, and every guess of the solver's searches is spliced from rotation slices
-and at most two single pegs.  A `Splice` is such a code kept with its runs
-(rotation j on positions a..b), so validation reduces to checking that the
-runs' color arcs on the k-cycle are disjoint, a black count to counting each
-run's rotation in the other code's rotation profile (`_kernel`), and a
-transcript stores the runs instead of the n colors (`SpliceEvent`).  The
+and at most two single pegs.  A `Splice` is such a code held as its runs
+alone (rotation j on positions a..b), never as its n colors, so validation
+reduces to checking that the runs' color arcs on the k-cycle are disjoint, a
+black count to counting each run's rotation in the other code's rotation
+profile (`_kernel`), and a transcript event holds the splice itself.  The
 solver asks splices on boards of at least `solver.SPLICE_MIN_HOLES` holes;
 every other code is a plain tuple and takes the plain paths.
 """
@@ -30,6 +30,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, fields
 from functools import cached_property, lru_cache
+from itertools import chain
 
 from . import _kernel
 
@@ -52,7 +53,8 @@ class InconsistentOracleError(RuntimeError):
 
 
 class CapacityError(RuntimeError):
-    """A requested enumeration exceeds the configured state limit."""
+    """A requested enumeration exceeds the configured state limit, or a
+    board's rotation family exceeds FAMILY_LIMIT."""
 
 
 @dataclass(frozen=True)
@@ -150,48 +152,90 @@ def rotation(j: int, config: GameConfig) -> tuple:
     if not 1 <= j <= config.k:
         raise ValueError(f"rotation index {j} outside 1..{config.k}")
     n, k = config.n, config.k
-    return tuple(((i - j) % k) + 1 for i in range(1, n + 1))
+    start = (1 - j) % k
+    return (tuple(range(1, k + 1)) * 2)[start : start + n]
+
+
+# Most colors, n * k, the rotation family of a board may hold: 128 MB of
+# tuple slots, reached at n = k = 4096.
+FAMILY_LIMIT = 2**24
 
 
 @lru_cache(maxsize=None)
 def rotation_family(config: GameConfig) -> tuple:
-    """All k rotation codes as a tuple indexed by j-1."""
-    return tuple(rotation(j, config) for j in range(1, config.k + 1))
+    """All k rotation codes as a tuple indexed by j-1.
+
+    Each is a slice of one doubled cycle (1..k, 1..k), so the whole family
+    shares k int objects.  Raises CapacityError, before it allocates, when
+    the family would hold more than FAMILY_LIMIT colors.
+    """
+    n, k = config.n, config.k
+    if n * k > FAMILY_LIMIT:
+        raise CapacityError(
+            f"the rotation family of n={n}, k={k} would hold n*k = {n * k} colors, "
+            f"limit is {FAMILY_LIMIT}"
+        )
+    cycle = tuple(range(1, k + 1)) * 2
+    starts = ((1 - j) % k for j in range(1, k + 1))
+    return tuple(cycle[s : s + n] for s in starts)
 
 
-class Splice(tuple):
-    """A code spliced from rotation slices, kept with the runs it came from.
+class Splice:
+    """A code spliced from rotation slices, held as the runs it came from.
 
     The runs are given flat: j, a, b for each run in position order, meaning
     "rotation j on positions a..b"; an empty run, b = a - 1, is dropped from
     `runs`.  A peg of color c at position p is the one-position run of
     rotation ((p - c) mod k) + 1.  `rotations` must be the board's
-    `rotation_family`.  The code concatenates the rotation slices, so it
-    equals, and hashes like, the plain tuple.  Raises ValueError when the runs
-    do not tile 1..n.
+    `rotation_family`.  The colors are never stored: iterating chains the
+    rotation slices.  A splice has the plain tuple's length, and equals and
+    hashes like it.  Raises ValueError when the runs do not tile 1..n.
     """
 
-    def __new__(cls, rotations, runs):
-        code = kept = ()
+    __slots__ = ("rotations", "runs")
+
+    def __init__(self, rotations, runs):
+        kept = ()
         end = 0
         it = iter(runs)
         for j, a, b in zip(it, it, it):
             if not (a == end + 1 and b >= end and 0 < j <= len(rotations)):
                 raise ValueError(f"run ({j}, {a}, {b}) does not continue positions 1..{end}")
             if b > end:
-                code += rotations[j - 1][end:b]
                 kept += (j, a, b)
                 end = b
         n = len(rotations[0])
         if len(runs) % 3 or end != n:
             raise ValueError(f"runs {runs} do not tile positions 1..{n}")
-        self = tuple.__new__(cls, code)
-        self.rotations = rotations
-        self.runs = kept
-        return self
+        object.__setattr__(self, "rotations", rotations)
+        object.__setattr__(self, "runs", kept)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"Splice is immutable: cannot set {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"Splice is immutable: cannot delete {name!r}")
+
+    def __len__(self):
+        return self.runs[-1]  # the last run ends at n
+
+    def __iter__(self):
+        rots = self.rotations
+        it = iter(self.runs)
+        return chain.from_iterable([rots[j - 1][a - 1 : b] for j, a, b in zip(it, it, it)])
+
+    def __eq__(self, other):
+        if isinstance(other, (tuple, Splice)):
+            return tuple(self) == tuple(other)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(tuple(self))
+
+    def __repr__(self):
+        return f"Splice(runs={self.runs})"
 
     def __reduce__(self):
-        # tuple's own reduce would pass the colors as `rotations`
         return Splice, (self.rotations, self.runs)
 
 
@@ -214,6 +258,7 @@ def _arcs_disjoint(runs, k: int) -> bool:
 class TranscriptEvent:
     """One recorded fact: a code and its black count.
 
+    The code is a tuple, or the `Splice` that was asked, kept as its runs.
     Queried events were answered by the codemaker; derived events were priced
     without spending a guess (the rotation-family sum, or counts that follow
     once the secret is already pinned down).
@@ -224,43 +269,19 @@ class TranscriptEvent:
     derived: bool = False
 
 
-@dataclass(slots=True, eq=False)
-class SpliceEvent:
-    """A recorded `Splice`, kept as its runs: at most 15 ints instead of n.
-
-    `guess` rebuilds the code when read.  It compares equal to any event with
-    the same guess, count and flag.
-    """
-
-    rotations: tuple = field(repr=False)
-    runs: tuple
-    black: int
-    derived: bool = False
-
-    @property
-    def guess(self) -> Splice:
-        return Splice(self.rotations, self.runs)
-
-    def __eq__(self, other):
-        if not isinstance(other, (TranscriptEvent, SpliceEvent)):
-            return NotImplemented
-        return (self.black, self.derived, self.guess) == (other.black, other.derived, other.guess)
-
-    __hash__ = None
-
-
 def first_miscount(events, code) -> int | None:
     """Index of the first event whose recorded count is not its black count
     against `code`, or None.  Spliced events are counted by run, on `code`'s
     rotation profile, built at the first of them."""
     profile = None
     for idx, ev in enumerate(events):
-        if type(ev) is SpliceEvent:
+        guess = ev.guess
+        if type(guess) is Splice:
             if profile is None:
-                profile = _kernel.rotation_profile(code, len(ev.rotations))
-            count = _kernel.profile_count(profile, ev.runs)
+                profile = _kernel.rotation_profile(code, len(guess.rotations))
+            count = _kernel.profile_count(profile, guess.runs)
         else:
-            count = black(ev.guess, code)
+            count = black(guess, code)
         if count != ev.black:
             return idx
     return None
@@ -275,14 +296,13 @@ class Transcript:
     notes: list[tuple] = field(default_factory=list)
 
     def record(self, guess, count: int, derived: bool = False):
-        """Append and return an event: a `SpliceEvent` for a `Splice`, else a
-        `TranscriptEvent` holding the guess as a tuple."""
+        """Append and return an event holding the guess: a `Splice` as it
+        is, any other code as a tuple."""
         if not 0 <= count <= self.config.n:
             raise ValueError(f"black count {count} outside 0..{self.config.n}")
-        if type(guess) is Splice:
-            event = SpliceEvent(guess.rotations, guess.runs, count, derived)
-        else:
-            event = TranscriptEvent(tuple(guess), count, derived)
+        if type(guess) is not Splice:
+            guess = tuple(guess)
+        event = TranscriptEvent(guess, count, derived)
         self.events.append(event)
         return event
 

@@ -196,7 +196,7 @@ def initial_phase(oracle: CodemakerOracle) -> SolverState:
             ans = state.ask(rot)
             counts.append(ans)
             if ans == n:
-                secret = rot
+                secret = tuple(rot)
         else:
             cnt = black(rot, secret)
             state.record_derived(rot, cnt)

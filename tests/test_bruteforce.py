@@ -11,7 +11,6 @@ from permmind import (
     CapacityError,
     GameConfig,
     Splice,
-    SpliceEvent,
     Transcript,
     TranscriptEvent,
     all_injective_codes,
@@ -37,13 +36,13 @@ def _played_transcript(secret, config=None):
 
 def _played_games():
     """(secret, transcript) on (4,4), and on a square and a wide board large
-    enough that the solver records its guesses as `SpliceEvent`s."""
+    enough that the solver asks and records its guesses as `Splice`s."""
     yield (2, 1, 4, 3), _played_transcript((2, 1, 4, 3))
     rng = random.Random(5)
     for n, k in ((64, 64), (64, 80)):
         secret = tuple(rng.sample(range(1, k + 1), n))
         transcript = _played_transcript(secret, GameConfig(n, k))
-        assert type(transcript.events[0]) is SpliceEvent
+        assert type(transcript.events[0].guess) is Splice
         yield secret, transcript
 
 

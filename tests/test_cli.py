@@ -4,6 +4,7 @@ import hashlib
 import io
 import json
 import random
+import time
 
 import pytest
 
@@ -120,6 +121,14 @@ class TestSolveCommand:
         assert code == 0
         assert len(out.encode()) == size
         assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+    def test_board_past_the_family_limit_exits_1(self, capsys):
+        # n * k = 10**10 colors would not fit in memory; refused before any query
+        started = time.perf_counter()
+        code, out, err = run(["solve", "--n", "100000", "--seed", "1"], capsys)
+        assert time.perf_counter() - started < 1
+        assert code == 1 and out == ""
+        assert "limit is 16777216" in err
 
     def test_wide_board(self, capsys):
         code, out, _ = run(

@@ -1,6 +1,7 @@
 """Board primitives: validation, counting, rotations, transcripts."""
 
 import pickle
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,11 +9,12 @@ from hypothesis import given, strategies as st
 
 from permmind import (
     OPEN,
+    CapacityError,
     GameConfig,
     InconsistentOracleError,
     InvalidCodeError,
     Splice,
-    SpliceEvent,
+    StaticCodemaker,
     Transcript,
     TranscriptEvent,
     black,
@@ -138,16 +140,50 @@ class TestSplice:
         transcript = Transcript(config)
         # rotation 2 on 1..2 shows 5 1, rotation 1 on 3..4 shows 3 4
         splice = Splice(rotation_family(config), (2, 1, 2, 1, 3, 4))
+        assert not isinstance(splice, tuple)
+        assert len(splice) == 4 and list(splice) == [5, 1, 3, 4]
+        assert splice == (5, 1, 3, 4) and (5, 1, 3, 4) == splice
+        assert splice != (5, 1, 4, 3) and splice != [5, 1, 3, 4]
+        assert hash(splice) == hash((5, 1, 3, 4))
         copied = pickle.loads(pickle.dumps(splice))
-        assert copied == splice and copied.runs == splice.runs
+        assert type(copied) is Splice and copied == splice and copied.runs == splice.runs
         event = transcript.record(splice, 1)
-        assert type(event) is SpliceEvent and event.runs == (2, 1, 2, 1, 3, 4)
-        assert event.guess == (5, 1, 3, 4)
+        assert type(event) is TranscriptEvent and event.guess is splice
         plain = TranscriptEvent((5, 1, 3, 4), 1)
         assert event == plain and plain == event
         assert event != TranscriptEvent((5, 1, 3, 4), 2)
         assert event != TranscriptEvent((5, 1, 3, 4), 1, derived=True)
         assert event != TranscriptEvent((5, 1, 4, 3), 1)
+
+    def test_is_immutable(self):
+        splice = Splice(rotation_family(GameConfig(4, 5)), (2, 1, 4))
+        with pytest.raises(AttributeError):
+            splice.runs = (1, 1, 4)
+        with pytest.raises(AttributeError):
+            del splice.rotations
+        assert splice == (5, 1, 2, 3)
+
+    def test_one_query_allocates_runs_not_colors(self):
+        # validating, answering and recording one spliced guess at n = 1024
+        # never builds its 1024 colors (8 KB of tuple slots and more)
+        config = GameConfig(1024, 1024)
+        rots = rotation_family(config)
+        oracle = StaticCodemaker(rots[5], config)
+        oracle.profile  # built once per game, at the first splice
+        # find_first's guess: rotation 3, then rotation 4's first color
+        # parked at 401, then rotation 4
+        c = rots[3][0]
+        runs = (3, 1, 400, (401 - c) % 1024 + 1, 401, 401, 4, 402, 1024)
+        tracemalloc.start()
+        try:
+            splice = Splice(rots, runs)
+            count = oracle.answer(splice)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert count == black(tuple(splice), rots[5])
+        assert oracle.transcript.events[0].guess is splice
+        assert peak < 2048
 
 
 class TestGameConfig:
@@ -298,6 +334,27 @@ class TestRotations:
     def test_wide_family(self):
         fam = rotation_family(GameConfig(2, 3))
         assert fam == ((1, 2), (3, 1), (2, 3))
+
+    def test_family_shares_its_colors(self):
+        # every rotation slices one doubled cycle, so the k rotations share
+        # k int objects; an int object per color would take about 33.6 MB
+        config = GameConfig(1024, 1024)
+        tracemalloc.start()
+        try:
+            fam = rotation_family.__wrapped__(config)  # uncached, built here
+            held, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert fam[1] == rotation(2, config)
+        assert held < 12_000_000
+
+    def test_family_limit(self):
+        # n * k = 2**24, at n = k = 4096, is the largest family built; one
+        # more color is refused before anything is allocated
+        with pytest.raises(CapacityError, match="limit is 16777216"):
+            rotation_family(GameConfig(4096, 4097))
+        with pytest.raises(CapacityError, match="n\\*k = 10000000000"):
+            rotation_family(GameConfig(100_000, 100_000))
 
     def test_rejects_out_of_range_index(self):
         with pytest.raises(ValueError):

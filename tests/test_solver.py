@@ -14,7 +14,7 @@ from permmind import (
     InconsistentOracleError,
     SolverInvariantError,
     SolverState,
-    SpliceEvent,
+    Splice,
     StaticCodemaker,
     all_injective_codes,
     apply_found_component,
@@ -580,7 +580,15 @@ class TestSplicedBoards:
             queried = transcript.queried_events()
             assert [ev.guess for ev in queried] == oracle.asked
             assert [ev.black for ev in queried] == [black(g, secret) for g in oracle.asked]
-            assert sum(type(ev) is SpliceEvent for ev in queried) >= len(queried) - 2
+            assert sum(type(ev.guess) is Splice for ev in queried) >= len(queried) - 2
+
+    @pytest.mark.parametrize("n,k", BOARDS)
+    def test_a_secret_the_opening_pins_comes_back_as_a_tuple(self, n, k):
+        config = GameConfig(n, k)
+        secret = rotation_family(config)[2]  # rotation 3 answers n
+        recovered, transcript = solve(StaticCodemaker(secret, config), config)
+        assert type(recovered) is tuple and recovered == secret
+        assert transcript.query_count == 3
 
     @pytest.mark.parametrize("n,k", BOARDS)
     def test_a_lie_is_caught(self, n, k):
@@ -607,7 +615,7 @@ class TestSplicedBoards:
             assert recovered == secret
             assert transcript.events == expected.events
             assert transcript.notes == expected.notes
-            assert type(transcript.events[0]) is SpliceEvent
+            assert type(transcript.events[0].guess) is Splice
 
     @pytest.mark.parametrize("n,k", BOARDS + [(65, 65), (100, 131)])
     def test_large_boards_splice_the_tuple_guesses(self, monkeypatch, n, k):
@@ -618,7 +626,7 @@ class TestSplicedBoards:
         monkeypatch.setattr(permmind.solver, "SPLICE_MIN_HOLES", n + 1)
         for secret, expected in zip(secrets, spliced):
             transcript = solve(StaticCodemaker(secret, config), config)[1]
-            assert not any(type(ev) is SpliceEvent for ev in transcript.events)
+            assert not any(type(ev.guess) is Splice for ev in transcript.events)
             assert transcript.events == expected.events
 
     def test_a_large_transcript_holds_runs_not_codes(self):
