@@ -35,7 +35,6 @@ from .core import (
     TranscriptEvent,
     black,
     open_matches,
-    rotation,
     rotation_family,
     validate_code,
 )
@@ -94,7 +93,6 @@ __all__ = [
     "open_matches",
     "query_bound",
     "random_injective_code",
-    "rotation",
     "rotation_family",
     "select_active_index",
     "solve",

@@ -9,10 +9,10 @@ count against a code comes from that code's rotation profile, built once
 per code by `rotation_profile`: `profile_count` counts each run's rotation
 in the profile with `str.count`, at C speed, so no query scans its n pegs
 in Python.
-`partition_by_black` serves minimax over many small feasible sets of tuples,
-and counts inline with `sum(map(eq, ...))` instead of calling `black_count`:
-over thousands of small codes that is faster, and it keeps it free of calls
-through this module's globals.  The adversary's kernels, `code_matrix` and
+`black_count` counts with `sum(map(eq, a, b))`, the idiom of
+`partial_match_count` too.  `partition_by_black` serves minimax over many
+small feasible sets of tuples and writes that same expression inline, only
+to save a call per member.  The adversary's kernels, `code_matrix` and
 `min_black_filter`, work on one numpy matrix holding a code per row; numpy is
 imported inside them (`_numpy`), so importing permmind never loads it.
 Length validation happens in the callers, not here.  `active_backend` names
@@ -50,11 +50,7 @@ def _numpy():
 
 def black_count(a, b):
     """Number of positions where the two codes agree."""
-    count = 0
-    for x, y in zip(a, b):
-        if x == y:
-            count += 1
-    return count
+    return sum(map(eq, a, b))
 
 
 def rotation_profile(code, k):

@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import itertools
 import math
-import os
 from functools import cached_property
 
 from . import _kernel
@@ -63,17 +62,11 @@ def random_injective_code(config: GameConfig, rng) -> tuple:
 
 def _check_capacity(config: GameConfig, max_states: int | None, what: str) -> int:
     count = injective_code_count(config)
-    limit = max_states
-    if limit is None:
-        setting = os.environ.get("PERMMIND_MAX_STATES")
-        try:
-            limit = int(setting) if setting else DEFAULT_STATE_LIMIT
-        except ValueError:
-            raise ValueError(f"PERMMIND_MAX_STATES={setting!r} is not an integer") from None
+    limit = DEFAULT_STATE_LIMIT if max_states is None else max_states
     if count > limit:
         raise CapacityError(
             f"{what} would enumerate {count} codes, limit is {limit} "
-            "(raise it with --max-states or PERMMIND_MAX_STATES)"
+            "(raise it with --max-states)"
         )
     return count
 

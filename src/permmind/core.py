@@ -143,31 +143,20 @@ def open_matches(total_black: int, fixed: int) -> int:
     return diff
 
 
-def rotation(j: int, config: GameConfig) -> tuple:
-    """The j-th rotation code, 1 <= j <= k.
-
-    rotation(1) is (1, 2, ..., n); each next index shifts the underlying
-    k-cycle one step to the right before truncating to n entries.
-    """
-    if not 1 <= j <= config.k:
-        raise ValueError(f"rotation index {j} outside 1..{config.k}")
-    n, k = config.n, config.k
-    start = (1 - j) % k
-    return (tuple(range(1, k + 1)) * 2)[start : start + n]
-
-
 # Most colors, n * k, the rotation family of a board may hold: 128 MB of
 # tuple slots, reached at n = k = 4096.
 FAMILY_LIMIT = 2**24
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=4)
 def rotation_family(config: GameConfig) -> tuple:
     """All k rotation codes as a tuple indexed by j-1.
 
     Each is a slice of one doubled cycle (1..k, 1..k), so the whole family
     shares k int objects.  Raises CapacityError, before it allocates, when
-    the family would hold more than FAMILY_LIMIT colors.
+    the family would hold more than FAMILY_LIMIT colors.  Only the last four
+    boards' families stay cached, so a process that plays many boards does
+    not keep them all.
     """
     n, k = config.n, config.k
     if n * k > FAMILY_LIMIT:

@@ -126,10 +126,6 @@ class SolverState:
         self.transcript.record(code, count, derived=True)
 
 
-def _successor(j: int, k: int) -> int:
-    return j + 1 if j < k else 1
-
-
 def ceil_log2(n: int) -> int:
     return (n - 1).bit_length()
 
@@ -224,10 +220,9 @@ def select_active_index(state: SolverState) -> tuple[int, int]:
     k == n and every v is 1, an opening `find_first_uniform` takes instead.
     """
     v, k = state.v, state.config.k
-    for j in range(1, k + 1):
-        r = _successor(j, k)
-        if v[j - 1] > 0 and v[r - 1] == 0:
-            return j, r
+    for j, here in enumerate(v, 1):
+        if here and not v[j % k]:
+            return j, j % k + 1
     raise SolverInvariantError(f"no active rotation pair in v = {v}")
 
 
@@ -244,7 +239,7 @@ def find_first(state: SolverState, j: int) -> int:
     """
     n = state.config.n
     k = state.config.k
-    r = _successor(j, k)
+    r = j % k + 1
     rots = state.rotations
     rj, rr = rots[j - 1], rots[r - 1]
     spliced = n >= SPLICE_MIN_HOLES
@@ -330,7 +325,7 @@ def find_next(state: SolverState, j: int) -> int:
     """
     config = state.config
     n, k = config.n, config.k
-    r = _successor(j, k)
+    r = j % k + 1
     rots = state.rotations
     rj, rr = rots[j - 1], rots[r - 1]
     partial = state.partial
@@ -372,7 +367,7 @@ def find_next_many_colors(state: SolverState, j: int) -> int:
     """
     config = state.config
     n, k = config.n, config.k
-    r = _successor(j, k)
+    r = j % k + 1
     rots = state.rotations
     rj, rr = rots[j - 1], rots[r - 1]
     fj = partial_match_count(rj, state.partial)

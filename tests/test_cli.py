@@ -130,6 +130,27 @@ class TestSolveCommand:
         assert code == 1 and out == ""
         assert "limit is 16777216" in err
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["solve", "--seed", "1"],
+            ["solve", "--secret", "1,2,3,4"],
+            ["bench", "--samples", "10", "--seed", "1"],
+        ],
+        ids=["solve-seed", "solve-secret", "bench"],
+    )
+    def test_wide_board_past_the_family_limit_draws_no_secret(self, capsys, monkeypatch, argv):
+        # n * k = 2 * 10**7 colors: drawing or checking a secret would build
+        # k-element lists first, so the board is refused before either
+        def no_secret(*args):
+            pytest.fail("a secret was drawn or checked")
+
+        monkeypatch.setattr(cli, "random_injective_code", no_secret)
+        monkeypatch.setattr(cli, "StaticCodemaker", no_secret)
+        code, out, err = run([*argv, "--n", "4", "--k", "5000000"], capsys)
+        assert code == 1 and out == ""
+        assert "limit is 16777216" in err
+
     def test_wide_board(self, capsys):
         code, out, _ = run(
             ["solve", "--n", "3", "--k", "5", "--secret", "5,2,4", "--json"], capsys
@@ -186,7 +207,6 @@ class TestExhaustiveCommand:
     def test_capacity_guard(self, capsys):
         code, _, err = run(["exhaustive", "--n", "4", "--max-states", "3"], capsys)
         assert code == 1
-        assert "PERMMIND_MAX_STATES" in err
         assert "--max-states" in err
 
 

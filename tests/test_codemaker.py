@@ -158,18 +158,6 @@ class TestAdversary:
         with pytest.raises(CapacityError):
             AdversaryCodemaker(GameConfig(4, 4), max_states=10)
 
-    def test_capacity_env_override(self, monkeypatch):
-        monkeypatch.setenv("PERMMIND_MAX_STATES", "10")
-        with pytest.raises(CapacityError):
-            AdversaryCodemaker(GameConfig(4, 4))
-        monkeypatch.setenv("PERMMIND_MAX_STATES", "100")
-        assert len(AdversaryCodemaker(GameConfig(4, 4)).feasible) == 24
-
-    def test_capacity_env_malformed(self, monkeypatch):
-        monkeypatch.setenv("PERMMIND_MAX_STATES", "abc")
-        with pytest.raises(ValueError, match="PERMMIND_MAX_STATES='abc'"):
-            AdversaryCodemaker(GameConfig(4, 4))
-
     def test_audit_rejects_unfinished_game(self):
         def lazy_solver(oracle, config):
             oracle.answer((1, 2, 3))

@@ -19,7 +19,6 @@ from permmind import (
     TranscriptEvent,
     black,
     open_matches,
-    rotation,
     rotation_family,
     validate_code,
 )
@@ -324,8 +323,8 @@ class TestCounts:
 
 class TestRotations:
     def test_identity_prefix(self):
-        assert rotation(1, GameConfig(4, 4)) == (1, 2, 3, 4)
-        assert rotation(1, GameConfig(3, 5)) == (1, 2, 3)
+        assert rotation_family(GameConfig(4, 4))[0] == (1, 2, 3, 4)
+        assert rotation_family(GameConfig(3, 5))[0] == (1, 2, 3)
 
     def test_square_family(self):
         fam = rotation_family(GameConfig(4, 4))
@@ -345,7 +344,7 @@ class TestRotations:
             held, _ = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert fam[1] == rotation(2, config)
+        assert fam[1] == (1024, *range(1, 1024))  # rotation 2
         assert held < 12_000_000
 
     def test_family_limit(self):
@@ -355,12 +354,6 @@ class TestRotations:
             rotation_family(GameConfig(4096, 4097))
         with pytest.raises(CapacityError, match="n\\*k = 10000000000"):
             rotation_family(GameConfig(100_000, 100_000))
-
-    def test_rejects_out_of_range_index(self):
-        with pytest.raises(ValueError):
-            rotation(0, GameConfig(3, 3))
-        with pytest.raises(ValueError):
-            rotation(4, GameConfig(3, 3))
 
     @given(st.integers(min_value=2, max_value=9), st.integers(min_value=0, max_value=7))
     def test_shift_identity(self, n, extra):

@@ -76,6 +76,13 @@ def test_partition_by_black_agrees_with_black_count(drawn):
         assert group == [m for m in members if black_count(m, guess) == count]
 
 
+@pytest.mark.parametrize("b,count", [((3, 1, 2), 0), ((1, 3, 2), 1), ((1, 2, 3), 3)])
+def test_black_count_is_an_int(b, count):
+    # the oracle rejects any answer that is not an int, bools included
+    assert type(black_count((1, 2, 3), b)) is int
+    assert black_count((1, 2, 3), b) == count
+
+
 def test_empty_filter_raises():
     with pytest.raises(ValueError):
         min_black_filter(np.empty((0, 3), dtype=np.uint8), (1, 2, 3))

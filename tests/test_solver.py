@@ -207,6 +207,35 @@ class TestSelectActiveIndex:
         with pytest.raises(SolverInvariantError, match="v = "):
             select_active_index(state)
 
+    @staticmethod
+    def _reference(v, k):
+        # the plain scan over j = 1..k, with the successor written out
+        for j in range(1, k + 1):
+            r = j + 1 if j < k else 1
+            if v[j - 1] > 0 and v[r - 1] == 0:
+                return j, r
+        return None
+
+    @given(st.integers(min_value=2, max_value=40).flatmap(lambda k: st.one_of(
+        st.lists(st.integers(min_value=0, max_value=3), min_size=k, max_size=k),
+        # v[0] == 0 and every other entry positive: only (k, 1) is active
+        st.lists(st.integers(min_value=1, max_value=3), min_size=k - 1, max_size=k - 1).map(
+            lambda rest: [0, *rest]
+        ),
+    )))
+    @example([0, 0])
+    @example([3, 1])
+    @example([0, 2, 1])
+    def test_agrees_with_the_plain_scan(self, v):
+        k = len(v)
+        state = self._state_with_v(v, n=k)
+        expected = self._reference(v, k)
+        if expected is None:
+            with pytest.raises(SolverInvariantError, match="v = "):
+                select_active_index(state)
+        else:
+            assert select_active_index(state) == expected
+
 
 class TestFindFirst:
     def test_replay_plain(self):
@@ -462,6 +491,14 @@ class TestSolve:
                 solve(RandomOracle(config, rng), config)
             except InconsistentOracleError:
                 pass
+
+    def test_rotation_family_cache_is_bounded(self):
+        # each board's family is cached while it plays, but only the last
+        # four stay: a process playing many boards keeps at most four
+        for n in range(2, 8):
+            secret = tuple(range(n, 0, -1))
+            assert solve(StaticCodemaker(secret))[0] == secret
+        assert rotation_family.cache_info().currsize <= 4
 
     def test_config_mismatch_rejected(self):
         oracle = StaticCodemaker((2, 1, 3))
