@@ -35,7 +35,6 @@ from .core import (
     TranscriptEvent,
     black,
     open_matches,
-    rotation_family,
     validate_code,
 )
 from .solver import (
@@ -93,7 +92,6 @@ __all__ = [
     "open_matches",
     "query_bound",
     "random_injective_code",
-    "rotation_family",
     "select_active_index",
     "solve",
     "validate_code",

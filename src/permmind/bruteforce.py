@@ -27,7 +27,6 @@ from .core import (
     Splice,
     Transcript,
     first_miscount,
-    rotation_family,
 )
 from .solver import query_bound, solve
 
@@ -40,21 +39,21 @@ def check_transcript(transcript: Transcript, secret=None) -> int | None:
 
     With a secret given, every recorded count (derived ones included) must
     equal the true black count.  Independently of the secret, if the events
-    open with the full rotation family those k counts must sum to n, because
-    every color appears on each position exactly once across the family;
-    a violation there reports the index completing the family.
+    open with rotations 1..k of the board those k counts must sum to n,
+    because every color appears on each position exactly once across them;
+    a violation there reports the index completing them.
     """
     config = transcript.config
     n, k = config.n, config.k
     events = transcript.events
     if secret is not None:
-        bad = first_miscount(events, secret)
+        bad = first_miscount(events, secret, config)
         if bad is not None:
             return bad
-    family = rotation_family(config)
-    # a spliced rotation is recognised by its runs, without rebuilding it
+    # a spliced rotation of the board is recognised by its runs alone
     if len(events) >= k and all(
-        (type(ev.guess) is Splice and ev.guess.runs == (j, 1, n)) or ev.guess == family[j - 1]
+        (type(ev.guess) is Splice and ev.guess.config == config and ev.guess.runs == (j, 1, n))
+        or ev.guess == config.rotation(j)
         for j, ev in enumerate(events[:k], start=1)
     ):
         if sum(ev.black for ev in events[:k]) != n:

@@ -39,9 +39,8 @@ from .core import (
     InconsistentOracleError,
     InvalidCodeError,
     Transcript,
-    rotation_family,
 )
-from .solver import CodemakerOracle, SolverInvariantError, query_bound, solve
+from .solver import CodemakerOracle, SolverInvariantError, check_board, query_bound, solve
 
 
 class _Parser(argparse.ArgumentParser):
@@ -122,7 +121,7 @@ def _write(text: str, path: str | None, mode: str = "w") -> None:
 
 def cmd_solve(args) -> int:
     config = _board(args)
-    rotation_family(config)  # refuses a board past FAMILY_LIMIT before any secret is drawn
+    check_board(config)  # before any secret is drawn or checked
     if args.secret is not None:
         secret = args.secret
     else:
@@ -176,7 +175,7 @@ def cmd_adversary(args) -> int:
 
 def cmd_bench(args) -> int:
     config = _board(args)
-    rotation_family(config)  # refuses a board past FAMILY_LIMIT before any secret is drawn
+    check_board(config)  # before any secret is drawn
     if args.samples < 1:
         print("permmind: error: --samples must be at least 1", file=sys.stderr)
         return 1

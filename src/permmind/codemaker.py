@@ -94,7 +94,7 @@ class StaticCodemaker(CodemakerOracle):
         return _kernel.rotation_profile(self.secret, self.config.k)
 
     def _respond(self, guess: tuple) -> int:
-        if type(guess) is Splice and len(guess.rotations) == self.config.k:
+        if type(guess) is Splice and guess.config.k == self.config.k:
             return _kernel.profile_count(self.profile, guess.runs)
         return black(guess, self.secret)
 

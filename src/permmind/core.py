@@ -5,31 +5,31 @@ A code places n pairwise distinct colors from 1..k into n holes.  Feedback
 for a guess is the black count alone: the number of positions where guess and
 secret hold the same color.
 
-The rotation family sigma^1..sigma^k consists of the right circular shifts of
-(1, 2, ..., k) truncated to the first n entries, so sigma^1 is the identity
-prefix and sigma^(j+1) shifts sigma^j one step.  Across the family every
-color appears exactly once at every position, which forces the family's black
-counts against any fixed secret to sum to exactly n.  That identity lets the
-solver buy the last rotation's count for free and is rechecked by the
-transcript auditor.
+The rotations sigma^1..sigma^k are the right circular shifts of (1, 2, ..., k)
+truncated to the first n entries: sigma^j holds color ((i - j) mod k) + 1 at
+position i; `GameConfig.rotation(j)` slices it from one doubled cycle.
+Across the k rotations every color appears exactly once at every position,
+which forces their black counts against any fixed secret to sum to exactly n.
+That identity lets the solver buy the last rotation's count for free and is
+rechecked by the transcript auditor.
 
 Partial solutions use 0 (OPEN) for holes whose color is still unknown.
 
 Position i agrees with exactly one rotation, ((i - y_i) mod k) + 1 for a code
 y, and every guess of the solver's searches is spliced from rotation slices
-and at most two single pegs.  A `Splice` is such a code held as its runs
-alone (rotation j on positions a..b), never as its n colors, so validation
-reduces to checking that the runs' color arcs on the k-cycle are disjoint, a
-black count to counting each run's rotation in the other code's rotation
-profile (`_kernel`), and a transcript event holds the splice itself.  The
-solver asks splices on boards of at least `solver.SPLICE_MIN_HOLES` holes;
-every other code is a plain tuple and takes the plain paths.
+and at most two single pegs.  A `Splice` is such a code held as its board and
+its runs alone (rotation j on positions a..b), never as its n colors, so
+validation reduces to checking that the runs' color arcs on the k-cycle are
+disjoint, a black count to counting each run's rotation in the other code's
+rotation profile (`_kernel`), and a transcript event holds the splice itself.
+The solver asks splices on boards of at least `solver.SPLICE_MIN_HOLES`
+holes; every other code is a plain tuple and takes the plain paths.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field, fields
-from functools import cached_property, lru_cache
+from functools import cached_property
 from itertools import chain
 
 from . import _kernel
@@ -53,8 +53,8 @@ class InconsistentOracleError(RuntimeError):
 
 
 class CapacityError(RuntimeError):
-    """A requested enumeration exceeds the configured state limit, or a
-    board's rotation family exceeds FAMILY_LIMIT."""
+    """A requested enumeration exceeds the configured state limit, or a board
+    is too large to play (`solver.check_board`)."""
 
 
 @dataclass(frozen=True)
@@ -78,8 +78,19 @@ class GameConfig:
         equality, hashing and `repr` ignore it."""
         return frozenset(range(1, self.k + 1))
 
+    @cached_property
+    def cycle(self) -> tuple:
+        """The colors 1..k twice over, cached like `palette`: 2k slots whose
+        slices are the rotations and the runs of every `Splice`."""
+        return tuple(range(1, self.k + 1)) * 2
+
+    def rotation(self, j: int) -> tuple:
+        """Rotation j, 1 <= j <= k: color ((i - j) mod k) + 1 at position i."""
+        start = (1 - j) % self.k
+        return self.cycle[start : start + self.n]
+
     def __getstate__(self):
-        # pickle the fields only, never the cached palette
+        # pickle the fields only, never the cached palette or cycle
         return {f.name: getattr(self, f.name) for f in fields(self)}
 
 
@@ -98,7 +109,7 @@ def validate_code(code, config: GameConfig) -> None:
     n = config.n
     if type(code) is Splice:
         k = config.k
-        if len(code) == n and len(code.rotations) == k and _arcs_disjoint(code.runs, k):
+        if len(code) == n and code.config.k == k and _arcs_disjoint(code.runs, k):
             return
     elif (
         len(code) == n
@@ -143,60 +154,33 @@ def open_matches(total_black: int, fixed: int) -> int:
     return diff
 
 
-# Most colors, n * k, the rotation family of a board may hold: 128 MB of
-# tuple slots, reached at n = k = 4096.
-FAMILY_LIMIT = 2**24
-
-
-@lru_cache(maxsize=4)
-def rotation_family(config: GameConfig) -> tuple:
-    """All k rotation codes as a tuple indexed by j-1.
-
-    Each is a slice of one doubled cycle (1..k, 1..k), so the whole family
-    shares k int objects.  Raises CapacityError, before it allocates, when
-    the family would hold more than FAMILY_LIMIT colors.  Only the last four
-    boards' families stay cached, so a process that plays many boards does
-    not keep them all.
-    """
-    n, k = config.n, config.k
-    if n * k > FAMILY_LIMIT:
-        raise CapacityError(
-            f"the rotation family of n={n}, k={k} would hold n*k = {n * k} colors, "
-            f"limit is {FAMILY_LIMIT}"
-        )
-    cycle = tuple(range(1, k + 1)) * 2
-    starts = ((1 - j) % k for j in range(1, k + 1))
-    return tuple(cycle[s : s + n] for s in starts)
-
-
 class Splice:
-    """A code spliced from rotation slices, held as the runs it came from.
+    """A code spliced from rotation slices, held as its board and its runs.
 
     The runs are given flat: j, a, b for each run in position order, meaning
     "rotation j on positions a..b"; an empty run, b = a - 1, is dropped from
     `runs`.  A peg of color c at position p is the one-position run of
-    rotation ((p - c) mod k) + 1.  `rotations` must be the board's
-    `rotation_family`.  The colors are never stored: iterating chains the
-    rotation slices.  A splice has the plain tuple's length, and equals and
+    rotation ((p - c) mod k) + 1.  The colors are never stored: iterating
+    chains the runs' arcs of the board's `cycle`, and a splice pickles as its
+    board and runs.  A splice has the plain tuple's length, and equals and
     hashes like it.  Raises ValueError when the runs do not tile 1..n.
     """
 
-    __slots__ = ("rotations", "runs")
+    __slots__ = ("config", "runs")
 
-    def __init__(self, rotations, runs):
+    def __init__(self, config: GameConfig, runs):
         kept = ()
         end = 0
         it = iter(runs)
         for j, a, b in zip(it, it, it):
-            if not (a == end + 1 and b >= end and 0 < j <= len(rotations)):
+            if not (a == end + 1 and b >= end and 0 < j <= config.k):
                 raise ValueError(f"run ({j}, {a}, {b}) does not continue positions 1..{end}")
             if b > end:
                 kept += (j, a, b)
                 end = b
-        n = len(rotations[0])
-        if len(runs) % 3 or end != n:
-            raise ValueError(f"runs {runs} do not tile positions 1..{n}")
-        object.__setattr__(self, "rotations", rotations)
+        if len(runs) % 3 or end != config.n:
+            raise ValueError(f"runs {runs} do not tile positions 1..{config.n}")
+        object.__setattr__(self, "config", config)
         object.__setattr__(self, "runs", kept)
 
     def __setattr__(self, name, value):
@@ -209,9 +193,9 @@ class Splice:
         return self.runs[-1]  # the last run ends at n
 
     def __iter__(self):
-        rots = self.rotations
-        it = iter(self.runs)
-        return chain.from_iterable([rots[j - 1][a - 1 : b] for j, a, b in zip(it, it, it)])
+        cycle = self.config.cycle
+        arcs = _arcs(self.runs, self.config.k)
+        return chain.from_iterable([cycle[start : start + length] for start, length in arcs])
 
     def __eq__(self, other):
         if isinstance(other, (tuple, Splice)):
@@ -225,16 +209,21 @@ class Splice:
         return f"Splice(runs={self.runs})"
 
     def __reduce__(self):
-        return Splice, (self.rotations, self.runs)
+        return Splice, (self.config, self.runs)
+
+
+def _arcs(runs, k: int) -> list:
+    """The color arc of each run (j, a, b), as (start, length): b - a + 1
+    consecutive colors of the k-cycle, from color index (a - j) mod k."""
+    it = iter(runs)
+    return [((a - j) % k, b - a + 1) for j, a, b in zip(it, it, it)]
 
 
 def _arcs_disjoint(runs, k: int) -> bool:
-    """Whether no color repeats across nonempty runs.  Run (j, a, b) shows the
-    colors of an arc of the k-cycle: b - a + 1 consecutive colors, starting
-    at color index (a - j) mod k.  After sorting by start, each arc must end
-    before the next starts, and the last, wrapped past k, before the first."""
-    it = iter(runs)
-    arcs = sorted([((a - j) % k, b - a + 1) for j, a, b in zip(it, it, it)])
+    """Whether no color repeats across nonempty runs.  After sorting the
+    runs' arcs by start, each must end before the next starts, and the last,
+    wrapped past k, before the first."""
+    arcs = sorted(_arcs(runs, k))
     end = arcs[-1][0] + arcs[-1][1] - k
     for start, length in arcs:
         if start < end:
@@ -249,8 +238,8 @@ class TranscriptEvent:
 
     The code is a tuple, or the `Splice` that was asked, kept as its runs.
     Queried events were answered by the codemaker; derived events were priced
-    without spending a guess (the rotation-family sum, or counts that follow
-    once the secret is already pinned down).
+    without spending a guess (the rotation sum, or the zero counts that
+    follow once a rotation has pinned the secret down).
     """
 
     guess: tuple
@@ -258,16 +247,18 @@ class TranscriptEvent:
     derived: bool = False
 
 
-def first_miscount(events, code) -> int | None:
+def first_miscount(events, code, config: GameConfig) -> int | None:
     """Index of the first event whose recorded count is not its black count
-    against `code`, or None.  Spliced events are counted by run, on `code`'s
-    rotation profile, built at the first of them."""
+    against `code`, a code of the board `config`, or None.  Spliced events
+    of that board are counted by run, on `code`'s rotation profile, built at
+    the first of them; every other event is counted by `black`."""
     profile = None
     for idx, ev in enumerate(events):
         guess = ev.guess
-        if type(guess) is Splice:
+        # `is` first: a game's splices share its config object
+        if type(guess) is Splice and (guess.config is config or guess.config == config):
             if profile is None:
-                profile = _kernel.rotation_profile(code, len(guess.rotations))
+                profile = _kernel.rotation_profile(code, config.k)
             count = _kernel.profile_count(profile, guess.runs)
         else:
             count = black(guess, code)

@@ -1,8 +1,8 @@
 """Adaptive codebreaker for black-peg Mastermind without repeated colors.
 
 The strategy opens by querying the first k-1 rotation codes; the last
-rotation's count is derived from the family identity (the k counts always sum
-to n).  It then repeatedly converts one still-open position into a known
+rotation's count is derived from the rotation identity (the k counts always
+sum to n).  It then repeatedly converts one still-open position into a known
 component and finishes by enumerating the at most two completions that agree
 with every recorded answer.
 
@@ -20,6 +20,9 @@ one of them).
 Total queries stay within query_bound(config):
 (n-3)*ceil(log2 n) + floor((5n-2)/2) when k == n, and
 (n-2)*ceil(log2 n) + k + 1 when k > n.
+
+Colors and slots of rotations are arithmetic (`core`); `check_board`
+refuses boards too large to play before anything is asked.
 """
 
 from __future__ import annotations
@@ -31,14 +34,13 @@ from dataclasses import dataclass, field
 from ._kernel import partial_match_count
 from .core import (
     OPEN,
+    CapacityError,
     GameConfig,
     InconsistentOracleError,
     Splice,
     Transcript,
-    black,
     first_miscount,
     open_matches,
-    rotation_family,
     validate_code,
 )
 
@@ -50,6 +52,11 @@ from .core import (
 # square boards and n = 40 on wide ones; at n = 64 they take 0.88 and 0.62 of
 # the tuples' time, at n = 96 0.65 and 0.61.
 SPLICE_MIN_HOLES = 64
+
+# Largest n * k of a board the solver plays: n = k = 4096.  A game costs
+# O(n^2 log n) and the opening asks k - 1 queries, so larger boards would
+# run for minutes or hours; they are refused before anything is asked.
+BOARD_LIMIT = 2**24
 
 
 class SolverInvariantError(RuntimeError):
@@ -92,8 +99,7 @@ class SolverState:
 
     `partial` holds the identified components (OPEN elsewhere);
     `v` tracks how many open-position matches each rotation still hides and is
-    decremented exactly once per identified component.  `rotations` is the
-    board's rotation family, looked up once per game.
+    decremented exactly once per identified component.
     """
 
     config: GameConfig
@@ -101,10 +107,6 @@ class SolverState:
     partial: list[int]
     v: list[int] = field(default_factory=list)
     solved_secret: tuple | None = None
-    rotations: tuple = field(init=False, repr=False)
-
-    def __post_init__(self):
-        self.rotations = rotation_family(self.config)
 
     @property
     def transcript(self) -> Transcript:
@@ -155,6 +157,13 @@ def _phase_budgets(n: int) -> dict[str, int]:
     }
 
 
+def check_board(config: GameConfig) -> None:
+    """Raise CapacityError when n * k exceeds BOARD_LIMIT."""
+    n, k = config.n, config.k
+    if n * k > BOARD_LIMIT:
+        raise CapacityError(f"a board of n={n}, k={k} has n*k = {n * k}, limit is {BOARD_LIMIT}")
+
+
 def query_bound(config: GameConfig) -> int:
     """Worst-case queries the solver may spend on this board."""
     n, k = config.n, config.k
@@ -173,36 +182,37 @@ def bound_enforced(config: GameConfig) -> bool:
 
 
 def initial_phase(oracle: CodemakerOracle) -> SolverState:
-    """Query rotations 1..k-1 and derive the last count from the family sum.
+    """Query rotations 1..k-1 and derive the last count from the rotation sum.
 
-    If some rotation answers n the secret is already pinned: the remaining
-    family counts are then derived instead of queried and the state comes
-    back with `solved_secret` set.
+    If some rotation answers n the secret is that rotation: no other
+    rotation shares a color with it at any position, so the remaining counts
+    are derived as 0 instead of queried and the state comes back with
+    `solved_secret` set.  Raises CapacityError first on a board past
+    BOARD_LIMIT.
     """
     config = oracle.config
+    check_board(config)
     n, k = config.n, config.k
     state = SolverState(config=config, oracle=oracle, partial=[OPEN] * n)
-    rots = state.rotations
     spliced = n >= SPLICE_MIN_HOLES
     secret = None
     counts = []
     for j in range(1, k):
-        rot = Splice(rots, (j, 1, n)) if spliced else rots[j - 1]
+        rot = Splice(config, (j, 1, n)) if spliced else config.rotation(j)
         if secret is None:
             ans = state.ask(rot)
             counts.append(ans)
             if ans == n:
                 secret = tuple(rot)
         else:
-            cnt = black(rot, secret)
-            state.record_derived(rot, cnt)
-            counts.append(cnt)
+            state.record_derived(rot, 0)
+            counts.append(0)
     last = n - sum(counts)
     if last < 0:
         raise InconsistentOracleError(
             f"rotation answers sum to {sum(counts)}, more than the {n} matches available"
         )
-    state.record_derived(Splice(rots, (k, 1, n)) if spliced else rots[k - 1], last)
+    state.record_derived(Splice(config, (k, 1, n)) if spliced else config.rotation(k), last)
     counts.append(last)
     state.v = counts
     state.solved_secret = secret
@@ -237,17 +247,17 @@ def find_first(state: SolverState, j: int) -> int:
     known to be wrong and the answer of that swap settles it.  Costs at most
     2*ceil(log2 n) queries.
     """
-    n = state.config.n
-    k = state.config.k
+    config = state.config
+    n, k = config.n, config.k
     r = j % k + 1
-    rots = state.rotations
-    rj, rr = rots[j - 1], rots[r - 1]
     spliced = n >= SPLICE_MIN_HOLES
-    c = rr[0]  # the parked color; as a peg at p it is rotation (p - c) % k + 1
+    if not spliced:
+        rj, rr = config.rotation(j), config.rotation(r)
+    c = (1 - r) % k + 1  # the parked color; as a peg at p it is rotation (p - c) % k + 1
 
     def in_prefix(l):
         if spliced:
-            guess = Splice(rots, (j, 1, l - 1, (l - c) % k + 1, l, l, r, l + 1, n))
+            guess = Splice(config, (j, 1, l - 1, (l - c) % k + 1, l, l, r, l + 1, n))
         else:
             guess = rj[: l - 1] + (c,) + rr[l:]
         s = state.ask(guess)
@@ -255,7 +265,7 @@ def find_first(state: SolverState, j: int) -> int:
             if l < n:
                 if spliced:
                     p = (l + 1 - c) % k + 1
-                    swap = Splice(rots, (j, 1, l, p, l + 1, l + 1, r, l + 2, n))
+                    swap = Splice(config, (j, 1, l, p, l + 1, l + 1, r, l + 2, n))
                 else:
                     swap = rj[:l] + (c,) + rr[l + 1 :]
             else:
@@ -266,8 +276,8 @@ def find_first(state: SolverState, j: int) -> int:
                 # rj[n-1] == y_n, so rj[0] != y_n, and rj[n-1] != y_1: the
                 # answer is 0.
                 if spliced:
-                    first, last = (1 - c) % k + 1, (n - rj[0]) % k + 1
-                    swap = Splice(rots, (first, 1, 1, j, 2, n - 1, last, n, n))
+                    # c on 1 is rotation r; rj[0] on n is rotation (n + j - 2) % k + 1
+                    swap = Splice(config, (r, 1, 1, j, 2, n - 1, (n + j - 2) % k + 1, n, n))
                 else:
                     swap = (c,) + rj[1 : n - 1] + (rj[0],)
                 state.transcript.notes.append(("terminal_swap", j))
@@ -303,7 +313,7 @@ def find_first_uniform(state: SolverState) -> int:
         raise InconsistentOracleError(
             f"no secret on {n} holes answers 1 to every rotation"
         )
-    ident = state.rotations[0]
+    ident = state.config.rotation(1)
     for p in range(1, n, 2):
         if state.ask(_swapped(ident, p, p + 1)) == 0:
             w = 3 if p == 1 else 1  # lowest position known to hold a wrong identity peg
@@ -326,14 +336,13 @@ def find_next(state: SolverState, j: int) -> int:
     config = state.config
     n, k = config.n, config.k
     r = j % k + 1
-    rots = state.rotations
-    rj, rr = rots[j - 1], rots[r - 1]
+    rj, rr = config.rotation(j), config.rotation(r)
     partial = state.partial
     try:
         c = min(filter(None, partial))  # OPEN is 0
     except ValueError:
         raise SolverInvariantError("find_next needs an identified component as pivot") from None
-    lj = rj.index(c) + 1
+    lj = (c + j - 2) % k + 1  # the slot where rotation j holds c
     fj = partial_match_count(rj, partial)
     fr = partial_match_count(rr, partial)
     spliced = n >= SPLICE_MIN_HOLES
@@ -344,7 +353,7 @@ def find_next(state: SolverState, j: int) -> int:
         # the pivot on l; the fixed matches are summed segment by segment
         if spliced:
             p = (l - c) % k + 1  # the pivot's rotation at l
-            guess = Splice(rots, (r, 1, a, j, a + 1, l - 1, p, l, l, r, l + 1, b, j, b + 1, n))
+            guess = Splice(config, (r, 1, a, j, a + 1, l - 1, p, l, l, r, l + 1, b, j, b + 1, n))
         else:
             guess = rr[:a] + rj[a : l - 1] + (c,) + rr[l:b] + rj[b:]
         fixed = fr[a] + fj[l - 1] - fj[a] + (partial[l - 1] == c) + fr[b] - fr[l] + fj[n] - fj[b]
@@ -368,8 +377,7 @@ def find_next_many_colors(state: SolverState, j: int) -> int:
     config = state.config
     n, k = config.n, config.k
     r = j % k + 1
-    rots = state.rotations
-    rj, rr = rots[j - 1], rots[r - 1]
+    rj, rr = config.rotation(j), config.rotation(r)
     fj = partial_match_count(rj, state.partial)
     fr = partial_match_count(rr, state.partial)
     spliced = n >= SPLICE_MIN_HOLES
@@ -377,7 +385,7 @@ def find_next_many_colors(state: SolverState, j: int) -> int:
     def in_prefix(l):
         # rotation r on 1..l-1, rotation j on l..n; a positive count puts the
         # match in l..n, so the answer's sense is inverted
-        guess = Splice(rots, (r, 1, l - 1, j, l, n)) if spliced else rr[: l - 1] + rj[l - 1 :]
+        guess = Splice(config, (r, 1, l - 1, j, l, n)) if spliced else rr[: l - 1] + rj[l - 1 :]
         return state.ask_open(guess, fr[l - 1] + fj[n] - fj[l - 1]) == 0
 
     return _bisect(1, n, in_prefix)
@@ -390,7 +398,7 @@ def apply_found_component(state: SolverState, j: int, m: int) -> None:
     A search that lands on a fixed position or a placed color was misled by
     answers no secret gives, so those raise InconsistentOracleError; a
     rotation with nothing left to spend can only come from the caller."""
-    color = state.rotations[j - 1][m - 1]
+    color = (m - j) % state.config.k + 1
     if state.partial[m - 1] != OPEN:
         raise InconsistentOracleError(f"position {m} is already fixed")
     if color in state.partial:
@@ -407,13 +415,12 @@ def endgame(state: SolverState) -> tuple:
     most 2 queries, the winning guess included."""
     config = state.config
     n, k = config.n, config.k
-    rots = state.rotations
     opens = [i for i in range(1, n + 1) if state.partial[i - 1] == OPEN]
     if len(opens) > 2:
         raise SolverInvariantError(f"endgame entered with {len(opens)} open positions")
     used = {c for c in state.partial if c != OPEN}
     live = [j for j in range(1, k + 1) if state.v[j - 1] > 0]
-    options = [sorted({rots[j - 1][i - 1] for j in live} - used) for i in opens]
+    options = [sorted({(i - j) % k + 1 for j in live} - used) for i in opens]
     events = state.transcript.events
     candidates = []
     for combo in itertools.product(*options):
@@ -423,7 +430,7 @@ def endgame(state: SolverState) -> tuple:
         for pos, color in zip(opens, combo):
             z[pos - 1] = color
         z = tuple(z)
-        if first_miscount(events, z) is None:
+        if first_miscount(events, z, config) is None:
             candidates.append(z)
     candidates.sort()
     if not candidates:

@@ -11,6 +11,7 @@ from permmind import (
     CapacityError,
     GameConfig,
     Splice,
+    StaticCodemaker,
     Transcript,
     TranscriptEvent,
     all_injective_codes,
@@ -20,15 +21,13 @@ from permmind import (
     minimax_value,
     minimax_value_naive,
     query_bound,
-    rotation_family,
     solve,
 )
 from permmind.bruteforce import _fixing, _position_symmetries
+from util import all_rotations
 
 
 def _played_transcript(secret, config=None):
-    from permmind import StaticCodemaker
-
     oracle = StaticCodemaker(secret, config)
     _, transcript = solve(oracle, oracle.config)
     return transcript
@@ -72,27 +71,47 @@ class TestCheckTranscript:
     def test_family_sum_checked_without_secret(self):
         config = GameConfig(3, 3)
         transcript = Transcript(config)
-        for rot, answer in zip(rotation_family(config), (1, 1, 1)):
+        for rot, answer in zip(all_rotations(config), (1, 1, 1)):
             transcript.record(rot, answer)
         assert check_transcript(transcript) is None
         bad = Transcript(config)
-        for rot, answer in zip(rotation_family(config), (1, 1, 0)):
+        for rot, answer in zip(all_rotations(config), (1, 1, 0)):
             bad.record(rot, answer)
         assert check_transcript(bad) == 2
 
     def test_spliced_family_is_recognised(self):
         config = GameConfig(4, 5)
-        rots = rotation_family(config)
         for split in (False, True):  # one run per rotation, or two
             transcript = Transcript(config)
             for j in range(1, 6):
                 runs = (j, 1, 2, j, 3, 4) if split else (j, 1, 4)
-                transcript.record(Splice(rots, runs), 1)
+                transcript.record(Splice(config, runs), 1)
             assert check_transcript(transcript) == 4  # five counts of 1 are not 4
         shifted = Transcript(config)
         for j in range(1, 6):
-            shifted.record(Splice(rots, (j % 5 + 1, 1, 4)), 1)
+            shifted.record(Splice(config, (j % 5 + 1, 1, 4)), 1)
         assert check_transcript(shifted) is None  # not in family order: no sum
+        # rotations 1..5 of (4,6) are no family of (4,5): rotation 1 alone
+        # shows the same colors on both boards
+        wide = GameConfig(4, 6)
+        foreign = Transcript(config)
+        for j in range(1, 6):
+            foreign.record(Splice(wide, (j, 1, 4)), 1)
+        assert check_transcript(foreign) is None
+
+    @pytest.mark.parametrize("foreign_first", [False, True], ids=["board-first", "foreign-first"])
+    def test_splices_of_another_board_are_counted_by_black(self, foreign_first):
+        # a (64,80) oracle answers a splice of its board on the secret's
+        # profile and a valid (64,64) splice by a scan; the audit must count
+        # each the same way, whichever comes first
+        config = GameConfig(64, 80)
+        secret = tuple(random.Random(63).sample(range(1, 81), 64))
+        own, foreign = Splice(config, (5, 1, 64)), Splice(GameConfig(64, 64), (3, 1, 64))
+        oracle = StaticCodemaker(secret, config)
+        asked = (foreign, own) if foreign_first else (own, foreign)
+        answers = [oracle.answer(guess) for guess in asked]
+        assert dict(zip(asked, answers)) == {own: 2, foreign: 1}
+        assert check_transcript(oracle.transcript, secret) is None
 
     def test_no_family_no_sum_check(self):
         config = GameConfig(3, 3)
@@ -274,9 +293,8 @@ class TestTranscriptInvariantEverywhere:
         for secret in all_injective_codes(config):
             transcript = _played_transcript(secret, config)
             assert check_transcript(transcript, secret) is None
-            family = rotation_family(config)
             heads = [ev.guess for ev in transcript.events[:k]]
-            assert heads == list(family)
+            assert heads == all_rotations(config)
             assert sum(ev.black for ev in transcript.events[:k]) == n
             assert all(
                 black(ev.guess, secret) == ev.black for ev in transcript.events

@@ -1,6 +1,7 @@
 """Board primitives: validation, counting, rotations, transcripts."""
 
 import pickle
+import random
 import tracemalloc
 
 import numpy as np
@@ -9,7 +10,6 @@ from hypothesis import given, strategies as st
 
 from permmind import (
     OPEN,
-    CapacityError,
     GameConfig,
     InconsistentOracleError,
     InvalidCodeError,
@@ -18,12 +18,14 @@ from permmind import (
     Transcript,
     TranscriptEvent,
     black,
+    check_transcript,
     open_matches,
-    rotation_family,
+    solve,
     validate_code,
 )
 from permmind._kernel import black_count, profile_count, rotation_profile
 from permmind.core import _arcs_disjoint
+from util import all_rotations
 
 
 @st.composite
@@ -72,10 +74,10 @@ class TestSplice:
     @given(board_and_splice())
     def test_equals_the_concatenated_rotation_slices(self, drawn):
         config, runs = drawn
-        fam = rotation_family(config)
-        splice = Splice(fam, runs)
+        splice = Splice(config, runs)
         it = iter(runs)
-        assert splice == tuple(c for j, a, b in zip(it, it, it) for c in fam[j - 1][a - 1 : b])
+        rotation = config.rotation
+        assert splice == tuple(c for j, a, b in zip(it, it, it) for c in rotation(j)[a - 1 : b])
         assert hash(splice) == hash(tuple(splice))
         it = iter(splice.runs)
         assert all(b >= a for _, a, b in zip(it, it, it))  # empty runs dropped
@@ -83,7 +85,7 @@ class TestSplice:
     @given(board_and_splice())
     def test_validation_agrees_with_the_plain_tuple(self, drawn):
         config, runs = drawn
-        splice = Splice(rotation_family(config), runs)
+        splice = Splice(config, runs)
         plain = _verdict(tuple(splice), config)
         assert _verdict(splice, config) == plain
         # the arc test alone decides a splice of the board's own rotations
@@ -92,7 +94,7 @@ class TestSplice:
     def test_refuses_an_arc_wrapping_onto_another(self):
         config = GameConfig(3, 4)
         # rotation 2 on 1..2 shows 4 1, wrapping past k; the peg at 3 repeats 1
-        splice = Splice(rotation_family(config), (2, 1, 2, 3, 3, 3))
+        splice = Splice(config, (2, 1, 2, 3, 3, 3))
         assert splice == (4, 1, 1)
         assert _verdict(splice, config) == (
             "duplicate", "color 1 appears more than once (position 3)"
@@ -102,7 +104,7 @@ class TestSplice:
     def test_run_count_is_the_black_count(self, drawn, data):
         config, runs = drawn
         n, k = config.n, config.k
-        splice = Splice(rotation_family(config), runs)
+        splice = Splice(config, runs)
         code = tuple(data.draw(st.permutations(range(1, k + 1)))[:n])
         opened = data.draw(st.lists(st.booleans(), min_size=n, max_size=n))
         partial = tuple(OPEN if o else c for o, c in zip(opened, code))
@@ -132,13 +134,13 @@ class TestSplice:
             )
         )
         with pytest.raises(ValueError):
-            Splice(rotation_family(config), broken)
+            Splice(config, broken)
 
     def test_records_as_its_runs(self):
         config = GameConfig(4, 5)
         transcript = Transcript(config)
         # rotation 2 on 1..2 shows 5 1, rotation 1 on 3..4 shows 3 4
-        splice = Splice(rotation_family(config), (2, 1, 2, 1, 3, 4))
+        splice = Splice(config, (2, 1, 2, 1, 3, 4))
         assert not isinstance(splice, tuple)
         assert len(splice) == 4 and list(splice) == [5, 1, 3, 4]
         assert splice == (5, 1, 3, 4) and (5, 1, 3, 4) == splice
@@ -155,32 +157,32 @@ class TestSplice:
         assert event != TranscriptEvent((5, 1, 4, 3), 1)
 
     def test_is_immutable(self):
-        splice = Splice(rotation_family(GameConfig(4, 5)), (2, 1, 4))
+        splice = Splice(GameConfig(4, 5), (2, 1, 4))
         with pytest.raises(AttributeError):
             splice.runs = (1, 1, 4)
         with pytest.raises(AttributeError):
-            del splice.rotations
+            del splice.config
         assert splice == (5, 1, 2, 3)
 
     def test_one_query_allocates_runs_not_colors(self):
         # validating, answering and recording one spliced guess at n = 1024
         # never builds its 1024 colors (8 KB of tuple slots and more)
         config = GameConfig(1024, 1024)
-        rots = rotation_family(config)
-        oracle = StaticCodemaker(rots[5], config)
+        secret = config.rotation(6)
+        oracle = StaticCodemaker(secret, config)
         oracle.profile  # built once per game, at the first splice
         # find_first's guess: rotation 3, then rotation 4's first color
         # parked at 401, then rotation 4
-        c = rots[3][0]
+        c = config.rotation(4)[0]
         runs = (3, 1, 400, (401 - c) % 1024 + 1, 401, 401, 4, 402, 1024)
         tracemalloc.start()
         try:
-            splice = Splice(rots, runs)
+            splice = Splice(config, runs)
             count = oracle.answer(splice)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert count == black(tuple(splice), rots[5])
+        assert count == black(tuple(splice), secret)
         assert oracle.transcript.events[0].guess is splice
         assert peak < 2048
 
@@ -281,9 +283,10 @@ class TestValidateCode:
         validate_code(list(code), config)
 
     def test_palette_cache_is_invisible(self):
-        # rotation_family's lru_cache keys on the config
+        # the palette and the cycle are cached on the instance, not as fields
         plain, cached = GameConfig(4, 4), GameConfig(4, 4)
         assert cached.palette == frozenset({1, 2, 3, 4})
+        assert cached.cycle == (1, 2, 3, 4, 1, 2, 3, 4)
         assert plain == cached and hash(plain) == hash(cached)
         assert repr(plain) == repr(cached)
         assert pickle.dumps(plain) == pickle.dumps(cached)
@@ -323,44 +326,52 @@ class TestCounts:
 
 class TestRotations:
     def test_identity_prefix(self):
-        assert rotation_family(GameConfig(4, 4))[0] == (1, 2, 3, 4)
-        assert rotation_family(GameConfig(3, 5))[0] == (1, 2, 3)
+        assert GameConfig(4, 4).rotation(1) == (1, 2, 3, 4)
+        assert GameConfig(3, 5).rotation(1) == (1, 2, 3)
 
     def test_square_family(self):
-        fam = rotation_family(GameConfig(4, 4))
-        assert fam == ((1, 2, 3, 4), (4, 1, 2, 3), (3, 4, 1, 2), (2, 3, 4, 1))
+        fam = all_rotations(GameConfig(4, 4))
+        assert fam == [(1, 2, 3, 4), (4, 1, 2, 3), (3, 4, 1, 2), (2, 3, 4, 1)]
 
     def test_wide_family(self):
-        fam = rotation_family(GameConfig(2, 3))
-        assert fam == ((1, 2), (3, 1), (2, 3))
+        fam = all_rotations(GameConfig(2, 3))
+        assert fam == [(1, 2), (3, 1), (2, 3)]
 
-    def test_family_shares_its_colors(self):
-        # every rotation slices one doubled cycle, so the k rotations share
-        # k int objects; an int object per color would take about 33.6 MB
+    @given(st.data())
+    def test_colors_are_the_closed_form(self, data):
+        # rotation j holds ((i - j) mod k) + 1 at position i, sliced from the
+        # config's cycle and iterated from a splice alike, on wide boards and
+        # for j = k too
+        k = data.draw(st.integers(min_value=2, max_value=40))
+        n = data.draw(st.integers(min_value=2, max_value=k))
+        config = GameConfig(n, k)
+        j = data.draw(st.sampled_from([1, k, data.draw(st.integers(min_value=1, max_value=k))]))
+        expected = tuple((i - j) % k + 1 for i in range(1, n + 1))
+        assert config.rotation(j) == expected
+        assert tuple(Splice(config, (j, 1, n))) == expected
+        # a cut into two runs of different rotations iterates each run's slice
+        cut = data.draw(st.integers(min_value=0, max_value=n))
+        other = data.draw(st.integers(min_value=1, max_value=k))
+        spliced = tuple(Splice(config, (other, 1, cut, j, cut + 1, n)))
+        assert spliced == tuple((i - other) % k + 1 for i in range(1, cut + 1)) + expected[cut:]
+
+    def test_a_pickled_splice_holds_its_board_and_runs(self):
+        # a splice pickles as its board and runs, never its colors or cycle
         config = GameConfig(1024, 1024)
-        tracemalloc.start()
-        try:
-            fam = rotation_family.__wrapped__(config)  # uncached, built here
-            held, _ = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert fam[1] == (1024, *range(1, 1024))  # rotation 2
-        assert held < 12_000_000
-
-    def test_family_limit(self):
-        # n * k = 2**24, at n = k = 4096, is the largest family built; one
-        # more color is refused before anything is allocated
-        with pytest.raises(CapacityError, match="limit is 16777216"):
-            rotation_family(GameConfig(4096, 4097))
-        with pytest.raises(CapacityError, match="n\\*k = 10000000000"):
-            rotation_family(GameConfig(100_000, 100_000))
+        config.cycle  # cached on the instance, which must not pickle it
+        splice = Splice(config, (3, 1, 400, 5, 401, 401, 4, 402, 1024))
+        data = pickle.dumps(splice)
+        assert len(data) < 1024
+        copied = pickle.loads(data)
+        assert type(copied) is Splice and copied.runs == splice.runs
+        assert copied.config == config and copied == splice
 
     @given(st.integers(min_value=2, max_value=9), st.integers(min_value=0, max_value=7))
     def test_shift_identity(self, n, extra):
         # dropping one position while advancing one rotation lands on the
-        # same colors: family[j][i+1] == family[j+1's predecessor][i]
+        # same colors: rotation(j + 1)[i] == rotation(j)[i - 1]
         config = GameConfig(n, n + extra)
-        fam = rotation_family(config)
+        fam = all_rotations(config)
         k = config.k
         for j in range(1, k + 1):
             succ = fam[j % k]
@@ -370,18 +381,33 @@ class TestRotations:
     @given(board_and_codes(count=1))
     def test_family_counts_sum_to_holes(self, drawn):
         config, (secret,) = drawn
-        total = sum(black(rot, secret) for rot in rotation_family(config))
+        total = sum(black(rot, secret) for rot in all_rotations(config))
         assert total == config.n
 
     @given(board_and_codes(count=1))
     def test_each_position_covered_once(self, drawn):
-        # across the family, every position shows every rotation a different
-        # color, and each color of 1..k exactly once
+        # across the rotations, every position shows every rotation a
+        # different color, and each color of 1..k exactly once
         config, _ = drawn
-        fam = rotation_family(config)
+        fam = all_rotations(config)
         for i in range(config.n):
             column = [rot[i] for rot in fam]
             assert sorted(column) == list(range(1, config.k + 1))
+
+    def test_one_large_game_stays_small(self):
+        # no rotation is kept beyond the search that slices it: a whole
+        # (1024,1024) game, audit included, peaks under 8 MB
+        config = GameConfig(1024, 1024)
+        secret = tuple(random.Random(1).sample(range(1, 1025), 1024))
+        tracemalloc.start()
+        try:
+            recovered, transcript = solve(StaticCodemaker(secret, config), config)
+            assert check_transcript(transcript, secret) is None
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert recovered == secret
+        assert peak < 8_000_000
 
 
 class TestFigureVectors:
@@ -390,20 +416,17 @@ class TestFigureVectors:
     PARTIAL = [OPEN, OPEN, OPEN, OPEN, 2, OPEN, 5, 6]
 
     def test_rotation_answers(self):
-        config = GameConfig(8, 8)
-        fam = rotation_family(config)
+        fam = all_rotations(GameConfig(8, 8))
         answers = tuple(black(rot, self.SECRET) for rot in fam)
         assert answers == (0, 2, 3, 1, 0, 0, 1, 1)
 
     def test_partial_matches(self):
-        config = GameConfig(8, 8)
-        fam = rotation_family(config)
+        fam = all_rotations(GameConfig(8, 8))
         fixed = tuple(black(rot, self.PARTIAL) for rot in fam)
         assert fixed == (0, 0, 2, 1, 0, 0, 0, 0)
 
     def test_open_matches(self):
-        config = GameConfig(8, 8)
-        fam = rotation_family(config)
+        fam = all_rotations(GameConfig(8, 8))
         opens = tuple(
             open_matches(black(rot, self.SECRET), black(rot, self.PARTIAL)) for rot in fam
         )

@@ -10,6 +10,7 @@ from hypothesis import example, given, strategies as st
 
 from permmind import (
     OPEN,
+    CapacityError,
     GameConfig,
     InconsistentOracleError,
     SolverInvariantError,
@@ -28,13 +29,15 @@ from permmind import (
     find_next_many_colors,
     initial_phase,
     open_matches,
+    check_transcript,
     query_bound,
-    rotation_family,
     select_active_index,
     solve,
 )
+import permmind._kernel
 import permmind.solver
-from permmind.solver import CodemakerOracle, _bisect, _phase_budgets
+from permmind.solver import CodemakerOracle, _bisect, _phase_budgets, check_board
+from util import all_rotations
 
 
 class ScriptedOracle(CodemakerOracle):
@@ -160,13 +163,35 @@ class TestInitialPhase:
 
     def test_early_solve_on_rotation_secret(self):
         config = GameConfig(5, 5)
-        secret = rotation_family(config)[2]
+        secret = config.rotation(3)
         state = state_for(secret, config)
         assert state.solved_secret == secret
         assert state.transcript.query_count == 3
         # the remaining family counts are filled in as derived events
         assert len(state.transcript.events) == 5
         assert sum(ev.black for ev in state.transcript.events) == 5
+
+    def test_a_pinned_opening_derives_zeros_without_counting(self, monkeypatch):
+        # once rotation j answers n, rotations j+1..k share no color with it
+        # at any position: their counts are recorded as 0, never counted
+        config = GameConfig(1024, 1024)
+        j = 3
+        secret = config.rotation(j)
+        oracle = StaticCodemaker(secret, config)
+
+        def no_count(*args):
+            pytest.fail("a black count was computed")
+
+        monkeypatch.setattr(permmind._kernel, "black_count", no_count)
+        state = initial_phase(oracle)
+        monkeypatch.undo()
+        events = state.transcript.events
+        assert state.solved_secret == secret
+        assert state.transcript.query_count == j
+        derived = events[j:]
+        assert len(derived) == config.k - j
+        assert all(ev.derived and ev.black == 0 for ev in derived)
+        assert check_transcript(state.transcript, secret) is None
 
     def test_overreporting_oracle_detected(self):
         oracle = ScriptedOracle(GameConfig(3, 3), [2, 2])
@@ -274,14 +299,13 @@ class TestFindFirst:
         # really carry rotation j's color in the secret
         for n in (4, 5, 6):
             config = GameConfig(n, n)
-            fam = rotation_family(config)
             for secret in all_injective_codes(config):
                 state = state_for(secret, config)
                 if state.solved_secret is not None or all(c == 1 for c in state.v):
                     continue
                 j, _ = select_active_index(state)
                 m = find_first(state, j)
-                assert fam[j - 1][m - 1] == secret[m - 1], (secret, j, m)
+                assert config.rotation(j)[m - 1] == secret[m - 1], (secret, j, m)
 
 
 class TestFindFirstUniform:
@@ -299,7 +323,7 @@ class TestFindFirstUniform:
     def test_all_uniform_secrets(self):
         for n in (3, 5, 7):
             config = GameConfig(n, n)
-            fam = rotation_family(config)
+            fam = all_rotations(config)
             uniform = [
                 y
                 for y in all_injective_codes(config)
@@ -316,7 +340,7 @@ class TestFindFirstUniform:
         # odd, so the uniform opening cannot arise on even square boards
         for n in (4, 6):
             config = GameConfig(n, n)
-            fam = rotation_family(config)
+            fam = all_rotations(config)
             assert not any(
                 all(black(rot, y) == 1 for rot in fam)
                 for y in all_injective_codes(config)
@@ -379,7 +403,7 @@ class TestFindNext:
         state.v = [0, 2, 1, 0, 0, 0, 1, 1]
         state.oracle = FixedOnlyOracle(state)
         m = find_next(state, 3)
-        assert state.rotations[2][m - 1] == 2
+        assert state.config.rotation(3)[m - 1] == 2
         with pytest.raises(InconsistentOracleError):
             apply_found_component(state, 3, m)
 
@@ -399,14 +423,13 @@ class TestFindNextManyColors:
     def test_finds_true_components_everywhere(self):
         for n, k in ((3, 5), (4, 6), (2, 4)):
             config = GameConfig(n, k)
-            fam = rotation_family(config)
             for secret in all_injective_codes(config):
                 state = state_for(secret, config)
                 if state.solved_secret is not None:
                     continue
                 j, _ = select_active_index(state)
                 m = find_next_many_colors(state, j)
-                assert fam[j - 1][m - 1] == secret[m - 1], (secret, j, m)
+                assert config.rotation(j)[m - 1] == secret[m - 1], (secret, j, m)
 
 
 class TestApplyFoundComponent:
@@ -474,7 +497,7 @@ class TestSolve:
 
     def test_rotation_secrets_solved_during_opening(self):
         config = GameConfig(6, 6)
-        for j, secret in enumerate(rotation_family(config), start=1):
+        for j, secret in enumerate(all_rotations(config), start=1):
             if j == config.k:
                 continue  # the last rotation is never queried directly
             recovered, transcript = solve(StaticCodemaker(secret, config), config)
@@ -491,14 +514,6 @@ class TestSolve:
                 solve(RandomOracle(config, rng), config)
             except InconsistentOracleError:
                 pass
-
-    def test_rotation_family_cache_is_bounded(self):
-        # each board's family is cached while it plays, but only the last
-        # four stay: a process playing many boards keeps at most four
-        for n in range(2, 8):
-            secret = tuple(range(n, 0, -1))
-            assert solve(StaticCodemaker(secret))[0] == secret
-        assert rotation_family.cache_info().currsize <= 4
 
     def test_config_mismatch_rejected(self):
         oracle = StaticCodemaker((2, 1, 3))
@@ -564,7 +579,7 @@ class TestSolve:
         @functools.wraps(original)
         def overspending(state, *args):
             for _ in range(5):
-                state.ask(state.rotations[0])
+                state.ask(state.config.rotation(1))
             return original(state, *args)
 
         monkeypatch.setattr(permmind.solver, phase, overspending)
@@ -622,7 +637,7 @@ class TestSplicedBoards:
     @pytest.mark.parametrize("n,k", BOARDS)
     def test_a_secret_the_opening_pins_comes_back_as_a_tuple(self, n, k):
         config = GameConfig(n, k)
-        secret = rotation_family(config)[2]  # rotation 3 answers n
+        secret = config.rotation(3)  # rotation 3 answers n
         recovered, transcript = solve(StaticCodemaker(secret, config), config)
         assert type(recovered) is tuple and recovered == secret
         assert transcript.query_count == 3
@@ -670,7 +685,6 @@ class TestSplicedBoards:
         # 256 pegs a query would take 4.6 MB here; runs take about 15 ints
         config = GameConfig(256, 256)
         secret = tuple(random.Random(1).sample(range(1, 257), 256))
-        rotation_family(config)  # cached for the process, not the game's
         tracemalloc.start()
         try:
             _, transcript = solve(StaticCodemaker(secret, config), config)
@@ -679,3 +693,21 @@ class TestSplicedBoards:
             tracemalloc.stop()
         assert transcript.query_count > 2000
         assert held < 1_000_000
+
+
+class TestCheckBoard:
+    def test_refuses_past_the_limit(self):
+        # n * k = 2**24, at n = k = 4096, is the largest board played; one
+        # more color is refused before anything is asked
+        check_board(GameConfig(4096, 4096))
+        with pytest.raises(CapacityError, match="limit is 16777216"):
+            check_board(GameConfig(4096, 4097))
+        with pytest.raises(CapacityError, match="n\\*k = 10000000000"):
+            check_board(GameConfig(100_000, 100_000))
+
+    def test_the_opening_refuses_before_asking(self):
+        config = GameConfig(4096, 4097)
+        oracle = ScriptedOracle(config, [])
+        with pytest.raises(CapacityError, match="limit is 16777216"):
+            solve(oracle, config)
+        assert oracle.transcript.events == []

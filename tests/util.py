@@ -78,3 +78,8 @@ def make_spare_colors_instance(rng, n: int | None = None, m: int | None = None) 
                 priors.append(q)
                 break
     return config, tuple(priors) + (secret,), secret
+
+
+def all_rotations(config: GameConfig) -> list:
+    """Rotations 1..k of the board, in order."""
+    return [config.rotation(j) for j in range(1, config.k + 1)]
