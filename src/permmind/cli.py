@@ -70,50 +70,50 @@ def _board(args) -> GameConfig:
     return GameConfig(args.n, k)
 
 
-def transcript_to_dict(transcript: Transcript, secret=None) -> dict:
-    d = {
+def render_transcript_json(transcript: Transcript, secret=None):
+    """The transcript as one JSON document, yielded one event at a time, each
+    dumped on its own and indented into place."""
+    header = {
         "n": transcript.config.n,
         "k": transcript.config.k,
-        "events": [
-            {"guess": list(ev.guess), "black": ev.black, "derived": ev.derived}
-            for ev in transcript.events
-        ],
+        "events": [],
         "queries": transcript.query_count,
         "bound": query_bound(transcript.config),
     }
     if secret is not None:
-        d["secret"] = list(secret)
-    return d
+        header["secret"] = list(secret)
+    head, tail = json.dumps(header, indent=2, sort_keys=True).split('"events": []')
+    yield head + '"events": ['
+    for idx, ev in enumerate(transcript.events):
+        event = {"guess": list(ev.guess), "black": ev.black, "derived": ev.derived}
+        text = json.dumps(event, indent=2, sort_keys=True).replace("\n", "\n    ")
+        yield (",\n    " if idx else "\n    ") + text
+    yield ("\n  ]" if transcript.events else "]") + tail + "\n"
 
 
-def render_transcript_json(transcript: Transcript, secret=None) -> str:
-    return json.dumps(transcript_to_dict(transcript, secret), indent=2, sort_keys=True) + "\n"
-
-
-def render_transcript_text(transcript: Transcript, secret) -> str:
-    lines = []
+def render_transcript_text(transcript: Transcript, secret):
+    """The transcript as text, yielded one line per event, then the footer."""
     for idx, ev in enumerate(transcript.events, start=1):
         mark = "*" if ev.derived else " "
-        code = " ".join(str(c) for c in ev.guess)
-        lines.append(f"{idx:>4}{mark} {code}  -> {ev.black}")
-    lines.append(
-        f"secret {' '.join(str(c) for c in secret)} found in "
+        code = " ".join(map(str, ev.guess))
+        yield f"{idx:>4}{mark} {code}  -> {ev.black}\n"
+    yield (
+        f"secret {' '.join(map(str, secret))} found in "
         f"{transcript.query_count} queries "
-        f"(bound {query_bound(transcript.config)}; * = derived, free)"
+        f"(bound {query_bound(transcript.config)}; * = derived, free)\n"
     )
-    return "\n".join(lines) + "\n"
 
 
-def _write(text: str, path: str | None, mode: str = "w") -> None:
-    """Write text to stdout or to --out.  Commands append "" before they
-    play, so an unwritable path fails before any game and an existing
-    file is not truncated early."""
+def _write(chunks, path: str | None, mode: str = "w") -> None:
+    """Write an iterable of strings to stdout or to --out, as they come.
+    Commands write no chunks in "a" mode before they play, so an unwritable
+    path fails before any game and an existing file is not truncated early."""
     if path is None or path == "-":
-        sys.stdout.write(text)
+        sys.stdout.writelines(chunks)
     else:
         try:
             with open(path, mode, encoding="utf-8") as fh:
-                fh.write(text)
+                fh.writelines(chunks)
         except OSError as exc:
             # a usage error like any other: main reports it and exits 1
             raise ValueError(f"cannot write --out {path}: {exc.strerror}") from None
@@ -127,7 +127,7 @@ def cmd_solve(args) -> int:
     else:
         secret = random_injective_code(config, random.Random(args.seed))
     oracle = StaticCodemaker(secret, config)
-    _write("", args.out, "a")
+    _write((), args.out, "a")
     recovered, transcript = solve(oracle, config)
     out = (
         render_transcript_json(transcript, secret)
@@ -179,7 +179,7 @@ def cmd_bench(args) -> int:
     if args.samples < 1:
         print("permmind: error: --samples must be at least 1", file=sys.stderr)
         return 1
-    _write("", args.out, "a")
+    _write((), args.out, "a")
     rng = random.Random(args.seed)
     secrets = [random_injective_code(config, rng) for _ in range(args.samples)]
     counts, failures = [], []
@@ -206,7 +206,7 @@ def cmd_bench(args) -> int:
     buffer = io.StringIO()
     writer = csv.writer(buffer, lineterminator="\n")
     writer.writerows(rows)
-    _write(buffer.getvalue(), args.out)
+    _write([buffer.getvalue()], args.out)
     for failure in failures:
         print(f"verification failed: {failure}", file=sys.stderr)
     return 2 if failures else 0

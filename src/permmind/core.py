@@ -22,8 +22,9 @@ its runs alone (rotation j on positions a..b), never as its n colors, so
 validation reduces to checking that the runs' color arcs on the k-cycle are
 disjoint, a black count to counting each run's rotation in the other code's
 rotation profile (`_kernel`), and a transcript event holds the splice itself.
-The solver asks splices on boards of at least `solver.SPLICE_MIN_HOLES`
-holes; every other code is a plain tuple and takes the plain paths.
+The solver asks its opening rotations and later search guesses as splices
+on boards of at least `solver.SPLICE_MIN_HOLES` holes; every other code is
+a plain tuple and takes the plain paths.
 """
 
 from __future__ import annotations
@@ -59,12 +60,15 @@ class CapacityError(RuntimeError):
 
 @dataclass(frozen=True)
 class GameConfig:
-    """Board shape: n holes and k colors with 2 <= n <= k."""
+    """Board shape: n holes and k colors, exact ints with 2 <= n <= k."""
 
     n: int
     k: int
 
     def __post_init__(self):
+        for name, size in (("n", self.n), ("k", self.k)):
+            if type(size) is not int:  # bools, floats and strings are not sizes
+                raise ValueError(f"{name} must be an int, got {size!r}")
         if self.n < 2:
             raise ValueError(f"need at least 2 holes, got n={self.n}")
         if self.k < self.n:
@@ -251,7 +255,10 @@ def first_miscount(events, code, config: GameConfig) -> int | None:
     """Index of the first event whose recorded count is not its black count
     against `code`, a code of the board `config`, or None.  Spliced events
     of that board are counted by run, on `code`'s rotation profile, built at
-    the first of them; every other event is counted by `black`."""
+    the first of them; every other event is counted by `black`.  Raises
+    ValueError when `code` does not have the board's n entries."""
+    if len(code) != config.n:
+        raise ValueError(f"code length mismatch: {config.n} != {len(code)}")
     profile = None
     for idx, ev in enumerate(events):
         guess = ev.guess

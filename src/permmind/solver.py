@@ -22,7 +22,9 @@ Total queries stay within query_bound(config):
 (n-2)*ceil(log2 n) + k + 1 when k > n.
 
 Colors and slots of rotations are arithmetic (`core`); `check_board`
-refuses boards too large to play before anything is asked.
+refuses boards too large to play before anything is asked.  The opening and
+the later searches ask `Splice`s from SPLICE_MIN_HOLES holes on; find_first,
+find_first_uniform and the endgame, once per game each, ask plain tuples.
 """
 
 from __future__ import annotations
@@ -44,13 +46,16 @@ from .core import (
     validate_code,
 )
 
-# Boards with at least this many holes ask their rotations and search guesses
-# as `Splice`s; smaller boards ask plain tuples.  A splice costs a fixed few
-# microseconds to build, validate, answer, record and audit, where a tuple
-# costs time in proportion to n.  Timed per query over whole games with their
-# audit (2-CPU Xeon VM, Python 3.11.7), splices break even at about n = 50 on
-# square boards and n = 40 on wide ones; at n = 64 they take 0.88 and 0.62 of
-# the tuples' time, at n = 96 0.65 and 0.61.
+# Boards with at least this many holes ask their opening rotations and the
+# guesses of every search after the first as `Splice`s; smaller boards ask
+# plain tuples.  A splice costs a fixed few microseconds to build, validate,
+# answer, record and audit, where a tuple costs time in proportion to n.
+# Timed per query over whole games with their audit (min of 11 runs, two
+# sessions, 2-CPU Xeon VM, Python 3.11.7), splices break even at n = 32 to
+# 48 on square boards and 32 to 40 on wide ones (k = 1.25n); at n = 64 they
+# take 0.75 and 0.51-0.67 of the tuples' time, at n = 96 0.53-0.59 and
+# 0.44-0.46.  Any threshold from 48 to 64 plays the benchmarked boards (at
+# most 9 holes, or 256) alike.
 SPLICE_MIN_HOLES = 64
 
 # Largest n * k of a board the solver plays: n = k = 4096.  A game costs
@@ -250,24 +255,14 @@ def find_first(state: SolverState, j: int) -> int:
     config = state.config
     n, k = config.n, config.k
     r = j % k + 1
-    spliced = n >= SPLICE_MIN_HOLES
-    if not spliced:
-        rj, rr = config.rotation(j), config.rotation(r)
-    c = (1 - r) % k + 1  # the parked color; as a peg at p it is rotation (p - c) % k + 1
+    rj, rr = config.rotation(j), config.rotation(r)
+    c = rr[0]  # the parked color
 
     def in_prefix(l):
-        if spliced:
-            guess = Splice(config, (j, 1, l - 1, (l - c) % k + 1, l, l, r, l + 1, n))
-        else:
-            guess = rj[: l - 1] + (c,) + rr[l:]
-        s = state.ask(guess)
+        s = state.ask(rj[: l - 1] + (c,) + rr[l:])
         if s == 1:
             if l < n:
-                if spliced:
-                    p = (l + 1 - c) % k + 1
-                    swap = Splice(config, (j, 1, l, p, l + 1, l + 1, r, l + 2, n))
-                else:
-                    swap = rj[:l] + (c,) + rr[l + 1 :]
+                swap = rj[:l] + (c,) + rr[l + 1 :]
             else:
                 # Degenerate split: the guess above was rotation j itself,
                 # and the zero answer that moved a to n-1 left its one match
@@ -275,11 +270,7 @@ def find_first(state: SolverState, j: int) -> int:
                 # n-1 stays, so the answer is positive.  A match at n means
                 # rj[n-1] == y_n, so rj[0] != y_n, and rj[n-1] != y_1: the
                 # answer is 0.
-                if spliced:
-                    # c on 1 is rotation r; rj[0] on n is rotation (n + j - 2) % k + 1
-                    swap = Splice(config, (r, 1, 1, j, 2, n - 1, (n + j - 2) % k + 1, n, n))
-                else:
-                    swap = (c,) + rj[1 : n - 1] + (rj[0],)
+                swap = (c,) + rj[1 : n - 1] + (rj[0],)
                 state.transcript.notes.append(("terminal_swap", j))
             s = state.ask(swap)
         return s > 0

@@ -21,6 +21,7 @@ from permmind import (
     minimax_value,
     minimax_value_naive,
     query_bound,
+    random_injective_code,
     solve,
 )
 from permmind.bruteforce import _fixing, _position_symmetries
@@ -112,6 +113,16 @@ class TestCheckTranscript:
         answers = [oracle.answer(guess) for guess in asked]
         assert dict(zip(asked, answers)) == {own: 2, foreign: 1}
         assert check_transcript(oracle.transcript, secret) is None
+
+    @pytest.mark.parametrize("n", [8, 64])
+    def test_a_secret_of_the_wrong_length_is_refused(self, n):
+        # on 64 holes most events are splices, counted on the secret's
+        # rotation profile, which must not be built from a short code
+        config = GameConfig(n, n)
+        secret = random_injective_code(config, random.Random(1))
+        transcript = _played_transcript(secret, config)
+        with pytest.raises(ValueError, match=f"code length mismatch: {n} != {n - 1}"):
+            check_transcript(transcript, secret[:-1])
 
     def test_no_family_no_sum_check(self):
         config = GameConfig(3, 3)

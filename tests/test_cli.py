@@ -5,6 +5,7 @@ import io
 import json
 import random
 import time
+import tracemalloc
 
 import pytest
 
@@ -121,6 +122,21 @@ class TestSolveCommand:
         assert code == 0
         assert len(out.encode()) == size
         assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+    @pytest.mark.parametrize("extra", [[], ["--json"]], ids=["text", "json"])
+    def test_output_is_written_event_by_event(self, extra, tmp_path):
+        # the whole n = 256 transcript takes 7.5 MB as one text and 57 MB as
+        # one JSON document; the game and one event's chunk take under 1 MB
+        out = tmp_path / "out"
+        tracemalloc.start()
+        try:
+            code = cli.main(["solve", "--n", "256", "--seed", "1", "--out", str(out), *extra])
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert code == 0
+        assert out.stat().st_size > 2_000_000
+        assert peak < 2_000_000
 
     def test_board_past_the_family_limit_exits_1(self, capsys):
         # n * k = 10**10 colors would not fit in memory; refused before any query

@@ -171,8 +171,8 @@ class TestSplice:
         secret = config.rotation(6)
         oracle = StaticCodemaker(secret, config)
         oracle.profile  # built once per game, at the first splice
-        # find_first's guess: rotation 3, then rotation 4's first color
-        # parked at 401, then rotation 4
+        # three runs: rotation 3, then rotation 4's first color parked at
+        # 401, then rotation 4
         c = config.rotation(4)[0]
         runs = (3, 1, 400, (401 - c) % 1024 + 1, 401, 401, 4, 402, 1024)
         tracemalloc.start()
@@ -192,10 +192,27 @@ class TestGameConfig:
         assert GameConfig(2, 2).n == 2
         assert GameConfig(3, 7).k == 7
 
-    @pytest.mark.parametrize("n,k", [(1, 1), (1, 5), (0, 3), (4, 3), (-2, -2)])
+    @pytest.mark.parametrize(
+        "n,k",
+        [
+            (1, 1),
+            (1, 5),
+            (0, 3),
+            (4, 3),
+            (-2, -2),
+            pytest.param(4.0, 4, id="float-n"),
+            pytest.param(4, 4.5, id="float-k"),
+            pytest.param(True, 3, id="bool-n"),
+            pytest.param("4", 4, id="str-n"),
+        ],
+    )
     def test_rejects_bad_shapes(self, n, k):
         with pytest.raises(ValueError):
             GameConfig(n, k)
+
+    def test_a_size_that_is_no_int_is_named(self):
+        with pytest.raises(ValueError, match="k must be an int, got 4.5"):
+            GameConfig(4, 4.5)
 
 
 class TestValidateCode:

@@ -621,10 +621,26 @@ class TestSplicedBoards:
     BOARDS = [(64, 64), (64, 80)]  # at SPLICE_MIN_HOLES
 
     @pytest.mark.parametrize("n,k", BOARDS)
-    def test_recorded_guesses_are_the_asked_ones(self, n, k):
+    def test_recorded_guesses_are_the_asked_ones(self, monkeypatch, n, k):
+        # find_first and the endgame ask tuples, every other phase splices
+        spans = {}
+
+        def spanned(phase):
+            @functools.wraps(phase)
+            def run(state, *args):
+                start = len(state.transcript.events)
+                result = phase(state, *args)
+                spans[phase.__name__] = range(start, len(state.transcript.events))
+                return result
+
+            return run
+
+        for name in ("find_first", "endgame"):
+            monkeypatch.setattr(permmind.solver, name, spanned(getattr(permmind.solver, name)))
         config = GameConfig(n, k)
         rng = random.Random(n + k)
         for _ in range(20):
+            spans.clear()
             secret = tuple(rng.sample(range(1, k + 1), n))
             oracle = RecordingCodemaker(secret, config)
             recovered, transcript = solve(oracle, config)
@@ -632,7 +648,16 @@ class TestSplicedBoards:
             queried = transcript.queried_events()
             assert [ev.guess for ev in queried] == oracle.asked
             assert [ev.black for ev in queried] == [black(g, secret) for g in oracle.asked]
-            assert sum(type(ev.guess) is Splice for ev in queried) >= len(queried) - 2
+            events = transcript.events
+            # the opening's k events come first; on a square board find_first's
+            # queries follow them, and the endgame's at most 2 end the game
+            first = spans.get("find_first", range(k, k))
+            assert first.start == k and len(first) <= 2 * ceil_log2(n)
+            assert bool(first) == (k == n)
+            last = spans["endgame"]
+            assert last.stop == len(events) and 1 <= len(last) <= 2
+            tuples = [i for i, ev in enumerate(events) if type(ev.guess) is not Splice]
+            assert tuples == [*first, *last]
 
     @pytest.mark.parametrize("n,k", BOARDS)
     def test_a_secret_the_opening_pins_comes_back_as_a_tuple(self, n, k):
