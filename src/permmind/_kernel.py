@@ -1,26 +1,26 @@
 """Counting kernels: the black-count comparisons every other module pays for.
 
 Per-code counts serve the solver and take tuples or lists: `black_count`
-scans two codes, while `partial_match_count` builds, once per search, the
-running counts of a rotation's matches on the fixed positions, so that each
-of the search's queries finds its own by prefix differences in O(1).  On
-large boards a guess is a splice of rotation runs (`core.Splice`), and its
-count against a code comes from that code's rotation profile, built once
-per code by `rotation_profile`: `profile_count` counts each run's rotation
-in the profile with `str.count`, at C speed, so no query scans its n pegs
-in Python.
-`black_count` counts with `sum(map(eq, a, b))`, the idiom of
-`partial_match_count` too.  `partition_by_black` serves minimax over many
-small feasible sets of tuples and writes that same expression inline, only
-to save a call per member.  The adversary's kernels, `code_matrix` and
-`min_black_filter`, work on one numpy matrix holding a code per row; numpy is
-imported inside them (`_numpy`), so importing permmind never loads it.
-Length validation happens in the callers, not here.  `active_backend` names
-the implementation for benchmark metadata; there is only this one.
+scans two codes.  Position i agrees with exactly one rotation, so a code's
+`rotation_profile` lists, for each rotation j, the sorted positions where the
+code agrees with it, and `partial_match_count` counts a guess spliced from
+rotation runs against that profile with two bisects per run, never looking
+at the n pegs.  It is the only run-count kernel: the oracle and the audit
+count spliced guesses on the secret's profile, and the solver counts every
+search guess's fixed matches on the partial's profile, which
+`solver.apply_found_component` keeps up to date as pegs are fixed.
+`black_count` counts with `sum(map(eq, a, b))`.  `partition_by_black` serves
+minimax over many small feasible sets of tuples and writes that same
+expression inline, only to save a call per member.  The adversary's kernels,
+`code_matrix` and `min_black_filter`, work on one numpy matrix holding a code
+per row; numpy is imported inside them (`_numpy`), so importing permmind
+never loads it.  Length validation happens in the callers, not here.
+`active_backend` names the implementation for benchmark metadata; there is
+only this one.
 """
 
 import os
-from itertools import accumulate
+from bisect import bisect_left, bisect_right
 from operator import eq
 
 OPEN = 0
@@ -54,28 +54,31 @@ def black_count(a, b):
 
 
 def rotation_profile(code, k):
-    """A string holding, at each position i, chr(j) for the one rotation j
-    that agrees with `code` there: j = ((i - y_i) mod k) + 1.  An OPEN entry
-    agrees with no rotation and holds chr(0)."""
-    return "".join([chr((i - y) % k + 1) if y else "\0" for i, y in enumerate(code, 1)])
+    """A dict mapping each rotation j to the positions, in increasing order,
+    where `code` agrees with it: position i agrees with rotation
+    ((i - y_i) mod k) + 1 alone.  OPEN entries agree with no rotation and
+    are skipped, so a partial solution has a profile too."""
+    profile = {}
+    for i, y in enumerate(code, 1):
+        if y:
+            profile.setdefault((i - y) % k + 1, []).append(i)
+    return profile
 
 
-def profile_count(profile, runs):
+def partial_match_count(profile, runs):
     """Positions where the code of `profile` agrees with the splice of
-    `runs`, flat triples j, a, b meaning rotation j on positions a..b."""
-    count = profile.count
+    `runs`, flat triples j, a, b meaning rotation j on positions a..b: two
+    bisects per run into rotation j's positions.  An empty run, b = a - 1,
+    counts 0."""
+    if not profile:  # as before any peg is fixed: no lookups
+        return 0
+    get = profile.get
     total = 0
-    it = iter(runs)
-    for j, a, b in zip(it, it, it):
-        total += count(chr(j), a - 1, b)
+    for i in range(0, len(runs), 3):
+        positions = get(runs[i])
+        if positions:
+            total += bisect_right(positions, runs[i + 2]) - bisect_left(positions, runs[i + 1])
     return total
-
-
-def partial_match_count(code, partial):
-    """Running counts of the positions where `code` agrees with `partial`: a
-    list of n + 1 ints whose entry i counts positions 1..i, so the last is
-    the total.  Colors are 1..k, so an OPEN entry of `partial` never counts."""
-    return [0, *accumulate(map(eq, code, partial))]
 
 
 def code_matrix(n, k):

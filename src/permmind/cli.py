@@ -19,6 +19,7 @@ import argparse
 import csv
 import io
 import json
+import os
 import random
 import sys
 import time
@@ -70,9 +71,17 @@ def _board(args) -> GameConfig:
     return GameConfig(args.n, k)
 
 
+# One event of render_transcript_json, as json.dumps(..., indent=2,
+# sort_keys=True) lays it out four spaces deep, filled in at C speed.
+_EVENT_JSON = (
+    '{\n      "black": %d,\n      "derived": %s,\n      "guess": [\n        %s\n      ]\n    }'
+)
+
+
 def render_transcript_json(transcript: Transcript, secret=None):
-    """The transcript as one JSON document, yielded one event at a time, each
-    dumped on its own and indented into place."""
+    """The transcript as one JSON document, yielded one event at a time.  The
+    header is dumped once; each event is written through a fixed template,
+    the same bytes the indenting encoder would give it."""
     header = {
         "n": transcript.config.n,
         "k": transcript.config.k,
@@ -85,8 +94,8 @@ def render_transcript_json(transcript: Transcript, secret=None):
     head, tail = json.dumps(header, indent=2, sort_keys=True).split('"events": []')
     yield head + '"events": ['
     for idx, ev in enumerate(transcript.events):
-        event = {"guess": list(ev.guess), "black": ev.black, "derived": ev.derived}
-        text = json.dumps(event, indent=2, sort_keys=True).replace("\n", "\n    ")
+        guess = ",\n        ".join(map(str, ev.guess))
+        text = _EVENT_JSON % (ev.black, "true" if ev.derived else "false", guess)
         yield (",\n    " if idx else "\n    ") + text
     yield ("\n  ]" if transcript.events else "]") + tail + "\n"
 
@@ -107,9 +116,19 @@ def render_transcript_text(transcript: Transcript, secret):
 def _write(chunks, path: str | None, mode: str = "w") -> None:
     """Write an iterable of strings to stdout or to --out, as they come.
     Commands write no chunks in "a" mode before they play, so an unwritable
-    path fails before any game and an existing file is not truncated early."""
+    path fails before any game and an existing file is not truncated early.
+
+    A reader that goes away, as `| head` does, ends the output but not the
+    command: stdout is pointed at devnull, so nothing written later, nor the
+    flush at exit, raises, and the caller still audits its game."""
     if path is None or path == "-":
-        sys.stdout.writelines(chunks)
+        try:
+            sys.stdout.writelines(chunks)
+            sys.stdout.flush()
+        except BrokenPipeError:
+            devnull = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(devnull, sys.stdout.fileno())
+            os.close(devnull)
     else:
         try:
             with open(path, mode, encoding="utf-8") as fh:

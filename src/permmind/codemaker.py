@@ -74,8 +74,9 @@ def _check_capacity(config: GameConfig, max_states: int | None, what: str) -> in
 class StaticCodemaker(CodemakerOracle):
     """Honest oracle for a fixed secret.
 
-    A `Splice` of the board is answered by run, on the secret's rotation
-    profile, built at the first one; other guesses by a scan.
+    A `Splice` of the board is answered by run, two bisects each into the
+    secret's rotation profile, built at the first one; other guesses by a
+    scan.
     """
 
     def __init__(self, secret, config: GameConfig | None = None):
@@ -90,12 +91,12 @@ class StaticCodemaker(CodemakerOracle):
         self.secret = secret
 
     @cached_property
-    def profile(self) -> str:
+    def profile(self) -> dict:
         return _kernel.rotation_profile(self.secret, self.config.k)
 
     def _respond(self, guess: tuple) -> int:
         if type(guess) is Splice and guess.config.k == self.config.k:
-            return _kernel.profile_count(self.profile, guess.runs)
+            return _kernel.partial_match_count(self.profile, guess.runs)
         return black(guess, self.secret)
 
 

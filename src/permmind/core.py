@@ -20,8 +20,9 @@ y, and every guess of the solver's searches is spliced from rotation slices
 and at most two single pegs.  A `Splice` is such a code held as its board and
 its runs alone (rotation j on positions a..b), never as its n colors, so
 validation reduces to checking that the runs' color arcs on the k-cycle are
-disjoint, a black count to counting each run's rotation in the other code's
-rotation profile (`_kernel`), and a transcript event holds the splice itself.
+disjoint, a black count to two bisects per run into the other code's
+rotation profile (`_kernel.partial_match_count`), and a transcript event
+holds the splice itself.
 The solver asks its opening rotations and later search guesses as splices
 on boards of at least `solver.SPLICE_MIN_HOLES` holes; every other code is
 a plain tuple and takes the plain paths.
@@ -255,8 +256,9 @@ def first_miscount(events, code, config: GameConfig) -> int | None:
     """Index of the first event whose recorded count is not its black count
     against `code`, a code of the board `config`, or None.  Spliced events
     of that board are counted by run, on `code`'s rotation profile, built at
-    the first of them; every other event is counted by `black`.  Raises
-    ValueError when `code` does not have the board's n entries."""
+    the first of them (`_kernel.partial_match_count`); every other event is
+    counted by `black`.  Raises ValueError when `code` does not have the
+    board's n entries."""
     if len(code) != config.n:
         raise ValueError(f"code length mismatch: {config.n} != {len(code)}")
     profile = None
@@ -266,7 +268,7 @@ def first_miscount(events, code, config: GameConfig) -> int | None:
         if type(guess) is Splice and (guess.config is config or guess.config == config):
             if profile is None:
                 profile = _kernel.rotation_profile(code, config.k)
-            count = _kernel.profile_count(profile, guess.runs)
+            count = _kernel.partial_match_count(profile, guess.runs)
         else:
             count = black(guess, code)
         if count != ev.black:

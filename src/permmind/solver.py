@@ -25,12 +25,19 @@ Colors and slots of rotations are arithmetic (`core`); `check_board`
 refuses boards too large to play before anything is asked.  The opening and
 the later searches ask `Splice`s from SPLICE_MIN_HOLES holes on; find_first,
 find_first_uniform and the endgame, once per game each, ask plain tuples.
+
+Nothing is rescanned per search: `apply_found_component` keeps the fixed
+positions bucketed by rotation, the placed colors and the pivot up to date,
+so each query's fixed matches cost two bisects per run
+(`_kernel.partial_match_count`) and `select_active_index` resumes where it
+left off.  A game is then O(n log n + k) small steps.
 """
 
 from __future__ import annotations
 
 import itertools
 from abc import ABC, abstractmethod
+from bisect import insort
 from dataclasses import dataclass, field
 
 from ._kernel import partial_match_count
@@ -58,10 +65,12 @@ from .core import (
 # most 9 holes, or 256) alike.
 SPLICE_MIN_HOLES = 64
 
-# Largest n * k of a board the solver plays: n = k = 4096.  A game costs
-# O(n^2 log n) and the opening asks k - 1 queries, so larger boards would
-# run for minutes or hours; they are refused before anything is asked.
-BOARD_LIMIT = 2**24
+# Largest query_bound of a board the solver plays.  A game costs about one
+# small step per query, O(n log n + k), so the bound measures its work:
+# n = k = 16384 may ask 270,293 queries and plays in seconds, while
+# (2, 8388608) would ask 8.4 million.  Larger boards are refused before
+# anything is asked.
+QUERY_LIMIT = 2**19
 
 
 class SolverInvariantError(RuntimeError):
@@ -104,7 +113,12 @@ class SolverState:
 
     `partial` holds the identified components (OPEN elsewhere);
     `v` tracks how many open-position matches each rotation still hides and is
-    decremented exactly once per identified component.
+    decremented exactly once per identified component.  The rest is kept up
+    to date by `apply_found_component` alone, so no search rescans the
+    partial: `fixed` is its rotation profile (`_kernel.rotation_profile`),
+    `placed` the set of its colors and `pivot` the smallest of them, None
+    until one is placed.  `scan_from` is where `select_active_index`
+    resumes.
     """
 
     config: GameConfig
@@ -112,13 +126,17 @@ class SolverState:
     partial: list[int]
     v: list[int] = field(default_factory=list)
     solved_secret: tuple | None = None
+    fixed: dict[int, list[int]] = field(default_factory=dict)
+    placed: set[int] = field(default_factory=set)
+    pivot: int | None = None
+    scan_from: int = 1
 
     @property
     def transcript(self) -> Transcript:
         return self.oracle.transcript
 
     def open_count(self) -> int:
-        return self.partial.count(OPEN)
+        return self.config.n - len(self.placed)
 
     def ask(self, guess) -> int:
         return self.oracle.answer(guess)
@@ -126,7 +144,7 @@ class SolverState:
     def ask_open(self, guess, fixed: int) -> int:
         """Query a guess and return its open-position match count.  `fixed`
         is the guess's number of matches on the identified components,
-        which the searches take from running counts built once per search."""
+        which the searches count by run on the partial's profile."""
         return open_matches(self.ask(guess), fixed)
 
     def record_derived(self, code, count: int) -> None:
@@ -163,10 +181,13 @@ def _phase_budgets(n: int) -> dict[str, int]:
 
 
 def check_board(config: GameConfig) -> None:
-    """Raise CapacityError when n * k exceeds BOARD_LIMIT."""
-    n, k = config.n, config.k
-    if n * k > BOARD_LIMIT:
-        raise CapacityError(f"a board of n={n}, k={k} has n*k = {n * k}, limit is {BOARD_LIMIT}")
+    """Raise CapacityError when query_bound(config) exceeds QUERY_LIMIT."""
+    bound = query_bound(config)
+    if bound > QUERY_LIMIT:
+        raise CapacityError(
+            f"a board of n={config.n}, k={config.k} may ask {bound} queries, "
+            f"limit is {QUERY_LIMIT}"
+        )
 
 
 def query_bound(config: GameConfig) -> int:
@@ -193,7 +214,7 @@ def initial_phase(oracle: CodemakerOracle) -> SolverState:
     rotation shares a color with it at any position, so the remaining counts
     are derived as 0 instead of queried and the state comes back with
     `solved_secret` set.  Raises CapacityError first on a board past
-    BOARD_LIMIT.
+    QUERY_LIMIT.
     """
     config = oracle.config
     check_board(config)
@@ -233,10 +254,19 @@ def select_active_index(state: SolverState) -> tuple[int, int]:
     last count as n minus the others and `apply_found_component` lowers both
     by one, never below zero.  So some v is positive, and all are only when
     k == n and every v is 1, an opening `find_first_uniform` takes instead.
+
+    The scan resumes at `state.scan_from`, below which no rotation is
+    active, and leaves it at the j it returns.  This is safe because v only
+    falls, by one, at the j `apply_found_component` fixes: that can make
+    only j - 1 active, whose successor is j (rotation k, the successor of
+    rotation 1, lies at the scan's end anyway), so it lowers `scan_from` to
+    max(j - 1, 1).  A game's scans then cover O(n + k) entries in all, not
+    O(k) per search.
     """
     v, k = state.v, state.config.k
-    for j, here in enumerate(v, 1):
-        if here and not v[j % k]:
+    for j in range(state.scan_from, k + 1):
+        if v[j - 1] and not v[j % k]:
+            state.scan_from = j
             return j, j % k + 1
     raise SolverInvariantError(f"no active rotation pair in v = {v}")
 
@@ -327,28 +357,26 @@ def find_next(state: SolverState, j: int) -> int:
     config = state.config
     n, k = config.n, config.k
     r = j % k + 1
-    rj, rr = config.rotation(j), config.rotation(r)
-    partial = state.partial
-    try:
-        c = min(filter(None, partial))  # OPEN is 0
-    except ValueError:
-        raise SolverInvariantError("find_next needs an identified component as pivot") from None
+    c = state.pivot
+    if c is None:
+        raise SolverInvariantError("find_next needs an identified component as pivot")
     lj = (c + j - 2) % k + 1  # the slot where rotation j holds c
-    fj = partial_match_count(rj, partial)
-    fr = partial_match_count(rr, partial)
+    fixed = state.fixed
     spliced = n >= SPLICE_MIN_HOLES
+    if not spliced:
+        rj, rr = config.rotation(j), config.rotation(r)
     a, b = 0, lj  # the left side; the right side rebinds them below
 
     def in_prefix(l):
         # rotation r on 1..a and l+1..b, rotation j on a+1..l-1 and b+1..n,
-        # the pivot on l; the fixed matches are summed segment by segment
+        # and on l the pivot, the one-peg run of its rotation p there
+        p = (l - c) % k + 1
+        runs = (r, 1, a, j, a + 1, l - 1, p, l, l, r, l + 1, b, j, b + 1, n)
         if spliced:
-            p = (l - c) % k + 1  # the pivot's rotation at l
-            guess = Splice(config, (r, 1, a, j, a + 1, l - 1, p, l, l, r, l + 1, b, j, b + 1, n))
+            guess = Splice(config, runs)
         else:
             guess = rr[:a] + rj[a : l - 1] + (c,) + rr[l:b] + rj[b:]
-        fixed = fr[a] + fj[l - 1] - fj[a] + (partial[l - 1] == c) + fr[b] - fr[l] + fj[n] - fj[b]
-        return state.ask_open(guess, fixed) > 0
+        return state.ask_open(guess, partial_match_count(fixed, runs)) > 0
 
     # the probe is the left-side guess at l = 1: rotation r holds rotation
     # j's colors shifted one slot right, so its 2..l_j are rj's 1..l_j-1
@@ -368,16 +396,17 @@ def find_next_many_colors(state: SolverState, j: int) -> int:
     config = state.config
     n, k = config.n, config.k
     r = j % k + 1
-    rj, rr = config.rotation(j), config.rotation(r)
-    fj = partial_match_count(rj, state.partial)
-    fr = partial_match_count(rr, state.partial)
+    fixed = state.fixed
     spliced = n >= SPLICE_MIN_HOLES
+    if not spliced:
+        rj, rr = config.rotation(j), config.rotation(r)
 
     def in_prefix(l):
         # rotation r on 1..l-1, rotation j on l..n; a positive count puts the
         # match in l..n, so the answer's sense is inverted
-        guess = Splice(config, (r, 1, l - 1, j, l, n)) if spliced else rr[: l - 1] + rj[l - 1 :]
-        return state.ask_open(guess, fr[l - 1] + fj[n] - fj[l - 1]) == 0
+        runs = (r, 1, l - 1, j, l, n)
+        guess = Splice(config, runs) if spliced else rr[: l - 1] + rj[l - 1 :]
+        return state.ask_open(guess, partial_match_count(fixed, runs)) == 0
 
     return _bisect(1, n, in_prefix)
 
@@ -386,18 +415,28 @@ def apply_found_component(state: SolverState, j: int, m: int) -> None:
     """Fix position m to rotation j's color there and retire one of j's
     remaining open matches.
 
+    The only code that updates what a fixed peg changes: `partial`, `v`,
+    the partial's profile `fixed` (m joins rotation j's positions),
+    `placed`, `pivot` and `scan_from` (see `select_active_index`).
+
     A search that lands on a fixed position or a placed color was misled by
     answers no secret gives, so those raise InconsistentOracleError; a
     rotation with nothing left to spend can only come from the caller."""
     color = (m - j) % state.config.k + 1
     if state.partial[m - 1] != OPEN:
         raise InconsistentOracleError(f"position {m} is already fixed")
-    if color in state.partial:
+    if color in state.placed:
         raise InconsistentOracleError(f"color {color} is already placed")
     if state.v[j - 1] <= 0:
         raise SolverInvariantError(f"rotation {j} has no open matches left to spend")
     state.partial[m - 1] = color
     state.v[j - 1] -= 1
+    state.placed.add(color)
+    if state.pivot is None or color < state.pivot:
+        state.pivot = color
+    insort(state.fixed.setdefault(j, []), m)
+    if j <= state.scan_from:  # lower it to max(j - 1, 1)
+        state.scan_from = j - 1 or 1
 
 
 def endgame(state: SolverState) -> tuple:
@@ -409,7 +448,7 @@ def endgame(state: SolverState) -> tuple:
     opens = [i for i in range(1, n + 1) if state.partial[i - 1] == OPEN]
     if len(opens) > 2:
         raise SolverInvariantError(f"endgame entered with {len(opens)} open positions")
-    used = {c for c in state.partial if c != OPEN}
+    used = state.placed
     live = [j for j in range(1, k + 1) if state.v[j - 1] > 0]
     options = [sorted({(i - j) % k + 1 for j in live} - used) for i in opens]
     events = state.transcript.events

@@ -12,6 +12,7 @@ from permmind import (
     GameConfig,
     StaticCodemaker,
     all_injective_codes,
+    apply_found_component,
     black,
     check_transcript,
     exhaustive_verify,
@@ -40,8 +41,12 @@ def test_criterion_01_worked_replay():
     secret = (7, 1, 4, 3, 2, 8, 5, 6)
     state = initial_phase(StaticCodemaker(secret))
     assert state.v == [0, 2, 3, 1, 0, 0, 1, 1]
-    state.partial = [0, 0, 0, 0, 2, 0, 5, 6]
-    state.v = [0, 2, 1, 0, 0, 0, 1, 1]
+    # three components: 2 at position 5 (rotation 4), 5 and 6 at 7 and 8
+    # (rotation 3)
+    for j, m in ((4, 5), (3, 7), (3, 8)):
+        apply_found_component(state, j, m)
+    assert state.partial == [0, 0, 0, 0, 2, 0, 5, 6]
+    assert state.v == [0, 2, 1, 0, 0, 0, 1, 1]
     j, r = select_active_index(state)
     assert (j, r) == (3, 4)
     m = find_next(state, j)

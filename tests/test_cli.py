@@ -3,12 +3,17 @@
 import hashlib
 import io
 import json
+import os
 import random
+import subprocess
+import sys
 import time
 import tracemalloc
+from pathlib import Path
 
 import pytest
 
+import permmind
 from permmind import (
     GameConfig,
     InconsistentOracleError,
@@ -63,6 +68,23 @@ class TestSolveCommand:
         assert data["queries"] == sum(1 for ev in data["events"] if not ev["derived"])
         assert data["events"][0]["guess"] == [1, 2, 3, 4]
         # canonical layout: two-space indent, sorted keys, trailing newline
+        assert out == json.dumps(data, indent=2, sort_keys=True) + "\n"
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["--n", "64", "--k", "80", "--seed", "3"],  # wide, spliced searches
+            ["--n", "6", "--secret", "2,3,4,5,6,1"],  # derived zeros after the win
+        ],
+        ids=["wide-spliced", "pinned-opening"],
+    )
+    def test_json_layout_is_the_encoders(self, argv, capsys):
+        # each event is written through a template; the document must be the
+        # one json.dumps lays out
+        code, out, _ = run(["solve", *argv, "--json"], capsys)
+        assert code == 0
+        data = json.loads(out)
+        assert any(ev["derived"] for ev in data["events"])
         assert out == json.dumps(data, indent=2, sort_keys=True) + "\n"
 
     def test_seeded_secret_reproducible(self, capsys):
@@ -139,12 +161,13 @@ class TestSolveCommand:
         assert peak < 2_000_000
 
     def test_board_past_the_family_limit_exits_1(self, capsys):
-        # n * k = 10**10 colors would not fit in memory; refused before any query
+        # a bound of about 1.9 * 10**6 queries is past the limit; refused
+        # before any query
         started = time.perf_counter()
         code, out, err = run(["solve", "--n", "100000", "--seed", "1"], capsys)
         assert time.perf_counter() - started < 1
         assert code == 1 and out == ""
-        assert "limit is 16777216" in err
+        assert "limit is 524288" in err
 
     @pytest.mark.parametrize(
         "argv",
@@ -156,7 +179,7 @@ class TestSolveCommand:
         ids=["solve-seed", "solve-secret", "bench"],
     )
     def test_wide_board_past_the_family_limit_draws_no_secret(self, capsys, monkeypatch, argv):
-        # n * k = 2 * 10**7 colors: drawing or checking a secret would build
+        # 5 * 10**6 opening queries: drawing or checking a secret would build
         # k-element lists first, so the board is refused before either
         def no_secret(*args):
             pytest.fail("a secret was drawn or checked")
@@ -165,7 +188,7 @@ class TestSolveCommand:
         monkeypatch.setattr(cli, "StaticCodemaker", no_secret)
         code, out, err = run([*argv, "--n", "4", "--k", "5000000"], capsys)
         assert code == 1 and out == ""
-        assert "limit is 16777216" in err
+        assert "limit is 524288" in err
 
     def test_wide_board(self, capsys):
         code, out, _ = run(
@@ -180,6 +203,47 @@ class TestSolveCommand:
         code, _, err = run(["solve", "--n", "4", "--secret", "2,1,4,3"], capsys)
         assert code == 2
         assert "verification failed: ('wrong_secret'" in err
+
+    @pytest.mark.parametrize("extra", [[], ["--json"]], ids=["text", "json"])
+    def test_closed_stdout_ends_the_output_not_the_command(self, extra):
+        # `solve ... | head -1`: the reader leaves after one line, while the
+        # 2.4 MB transcript is still being written
+        src = Path(permmind.__file__).resolve().parent.parent
+        env = dict(os.environ, PYTHONPATH=str(src))
+        argv = [sys.executable, "-m", "permmind.cli", "solve", "--n", "256", "--seed", "1", *extra]
+        proc = subprocess.Popen(
+            argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env
+        )
+        first = proc.stdout.readline()
+        proc.stdout.close()
+        err = proc.stderr.read()
+        proc.stderr.close()
+        assert proc.wait(timeout=120) == 0
+        assert first.startswith(b"{" if extra else b"   1  1 2 3")
+        assert err == b""
+
+    def test_closed_stdout_still_audits_the_game(self, capsys, monkeypatch, tmp_path):
+        class GoneReader(io.StringIO):
+            """A stdout whose reader went away."""
+
+            def __init__(self, fd):
+                super().__init__()
+                self.fd = fd
+
+            def writelines(self, lines):
+                raise BrokenPipeError(32, "Broken pipe")
+
+            def fileno(self):
+                return self.fd
+
+        with open(tmp_path / "stdout", "w") as fh:
+            monkeypatch.setattr(sys, "stdout", GoneReader(fh.fileno()))
+            monkeypatch.setattr(
+                cli, "solve", lambda oracle, config: ((1, 2, 3, 4), solve(oracle)[1])
+            )
+            code = cli.main(["solve", "--n", "4", "--secret", "2,1,4,3"])
+        assert code == 2
+        assert "verification failed: ('wrong_secret'" in capsys.readouterr().err
 
     def test_solver_invariant_exits_2(self, capsys, monkeypatch):
         def broken(oracle, config):

@@ -1,5 +1,6 @@
-"""Counting kernels: the board-wide ones agree with `black_count` member by member,
-and the code matrix with `all_injective_codes` row by row."""
+"""Counting kernels: the run count and the board-wide kernels agree with
+`black_count` member by member, and the code matrix with `all_injective_codes`
+row by row."""
 
 import os
 import subprocess
@@ -19,6 +20,7 @@ from permmind._kernel import (
     min_black_filter,
     partial_match_count,
     partition_by_black,
+    rotation_profile,
 )
 
 
@@ -42,13 +44,17 @@ def test_black_count_counts_agreeing_positions(drawn):
 
 @given(codes_and_guess(), st.data())
 def test_partial_match_count_ignores_open_positions(drawn, data):
-    # entry i is the count over positions 1..i, for any pattern of OPEN holes
+    # the guess as one-peg runs, any prefix of them: the count over
+    # positions 1..i, for any pattern of OPEN holes
     members, guess = drawn
     n = len(guess)
+    k = max(c for code in (guess, *members) for c in code)
+    runs = [x for i, c in enumerate(guess, 1) for x in ((i - c) % k + 1, i, i)]
     for m in members:
         opened = data.draw(st.lists(st.booleans(), min_size=n, max_size=n))
         partial = tuple(OPEN if o else x for o, x in zip(opened, m))
-        assert partial_match_count(guess, partial) == [
+        profile = rotation_profile(partial, k)
+        assert [partial_match_count(profile, runs[: 3 * i]) for i in range(n + 1)] == [
             sum(1 for x, p in zip(guess[:i], partial[:i]) if p != OPEN and x == p)
             for i in range(n + 1)
         ]
@@ -90,7 +96,9 @@ def test_empty_filter_raises():
 
 def test_accepts_lists_too():
     assert black_count([1, 2, 3], (1, 3, 2)) == 1
-    assert partial_match_count((1, 2, 3), [0, 2, 0])[-1] == 1
+    # rotation 1 is (1, 2, 3), which agrees with the partial at position 2
+    assert rotation_profile([0, 2, 0], 3) == {1: [2]}
+    assert partial_match_count(rotation_profile([0, 2, 0], 3), [1, 1, 3]) == 1
     count, survivors = min_black_filter(np.array([[1, 2, 3], [3, 2, 1]]), [1, 3, 2])
     assert (count, survivors.tolist()) == (0, [[3, 2, 1]])
     assert partition_by_black([[1, 2, 3], [3, 2, 1]], [1, 3, 2]) == {1: [[1, 2, 3]], 0: [[3, 2, 1]]}

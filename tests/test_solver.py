@@ -6,7 +6,7 @@ import random
 import tracemalloc
 
 import pytest
-from hypothesis import example, given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from permmind import (
     OPEN,
@@ -36,6 +36,7 @@ from permmind import (
 )
 import permmind._kernel
 import permmind.solver
+from permmind._kernel import rotation_profile
 from permmind.solver import CodemakerOracle, _bisect, _phase_budgets, check_board
 from util import all_rotations
 
@@ -78,6 +79,17 @@ class FixedOnlyOracle(CodemakerOracle):
 def state_for(secret, config=None):
     oracle = StaticCodemaker(secret, config)
     return initial_phase(oracle)
+
+
+def worked_example_state():
+    """The worked n = 8 example after the opening, with three components
+    fixed: 2 at position 5 (rotation 4), 5 and 6 at 7 and 8 (rotation 3)."""
+    state = state_for((7, 1, 4, 3, 2, 8, 5, 6))
+    for j, m in ((4, 5), (3, 7), (3, 8)):
+        apply_found_component(state, j, m)
+    assert state.partial == [OPEN, OPEN, OPEN, OPEN, 2, OPEN, 5, 6]
+    assert state.v == [0, 2, 1, 0, 0, 0, 1, 1]
+    return state
 
 
 class TestBounds:
@@ -362,10 +374,7 @@ class TestFindFirstUniform:
 
 class TestFindNext:
     def test_replay_worked_example(self):
-        secret = (7, 1, 4, 3, 2, 8, 5, 6)
-        state = state_for(secret)
-        state.partial = [OPEN, OPEN, OPEN, OPEN, 2, OPEN, 5, 6]
-        state.v = [0, 2, 1, 0, 0, 0, 1, 1]
+        state = worked_example_state()
         j, r = select_active_index(state)
         assert (j, r) == (3, 4)
         m = find_next(state, j)
@@ -383,8 +392,9 @@ class TestFindNext:
         # pivot color 1 sits on the last slot of rotation 4, so the left
         # side is known without a probe
         state = state_for((2, 1, 4, 3))
-        state.partial = [OPEN, 1, OPEN, OPEN]
-        state.v = [0, 1, 0, 2]
+        apply_found_component(state, 2, 2)
+        assert state.partial == [OPEN, 1, OPEN, OPEN]
+        assert state.v == [0, 1, 0, 2]
         m = find_next(state, 4)
         assert m == 1
         asked = [ev.guess for ev in state.transcript.events[4:]]
@@ -398,9 +408,7 @@ class TestFindNext:
     def test_denied_open_matches_land_on_the_pivot(self):
         # no positive answer on the left side leaves the bound at l_j, where
         # rotation j holds the pivot color, so placing it is refused
-        state = state_for((7, 1, 4, 3, 2, 8, 5, 6))
-        state.partial = [OPEN, OPEN, OPEN, OPEN, 2, OPEN, 5, 6]
-        state.v = [0, 2, 1, 0, 0, 0, 1, 1]
+        state = worked_example_state()
         state.oracle = FixedOnlyOracle(state)
         m = find_next(state, 3)
         assert state.config.rotation(3)[m - 1] == 2
@@ -432,12 +440,61 @@ class TestFindNextManyColors:
                 assert config.rotation(j)[m - 1] == secret[m - 1], (secret, j, m)
 
 
+@st.composite
+def board_and_secret(draw):
+    """A square or wide board of 3 to 12 holes, or the 64-hole board, where
+    the searches ask splices, and a secret of it."""
+    kind = draw(st.sampled_from(["square", "wide", "spliced"]))
+    if kind == "spliced":
+        n = k = 64
+    else:
+        n = draw(st.integers(min_value=3, max_value=12))
+        k = n if kind == "square" else draw(st.integers(min_value=n + 1, max_value=2 * n))
+    secret = tuple(draw(st.permutations(range(1, k + 1)))[:n])
+    return GameConfig(n, k), secret
+
+
+def check_kept_state(state):
+    """The state `apply_found_component` keeps up to date equals a rescan of
+    `partial` and `v`."""
+    partial, v, k = state.partial, state.v, state.config.k
+    assert state.fixed == rotation_profile(partial, k)
+    assert state.placed == set(partial) - {OPEN}
+    assert state.pivot == min(state.placed, default=None)
+    assert state.open_count() == partial.count(OPEN)
+    active = [j for j in range(1, k + 1) if v[j - 1] and not v[j % k]]
+    if active:
+        assert select_active_index(state) == (active[0], active[0] % k + 1)
+    else:
+        with pytest.raises(SolverInvariantError):
+            select_active_index(state)
+
+
 class TestApplyFoundComponent:
+    @settings(deadline=None, max_examples=60)
+    @given(board_and_secret())
+    def test_kept_state_matches_a_rescan(self, drawn):
+        config, secret = drawn
+        fixes = []
+
+        def checked(state, j, m):
+            apply_found_component(state, j, m)
+            check_kept_state(state)
+            fixes.append(m)
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(permmind.solver, "apply_found_component", checked)
+            recovered, _ = solve(StaticCodemaker(secret, config), config)
+        assert recovered == secret
+        # every game fixes a peg per search, unless the opening pins it down
+        assert len(fixes) == config.n - 2 or secret in all_rotations(config)
+
     def test_updates_partial_and_v(self):
         state = state_for((2, 1, 4, 3))
         apply_found_component(state, 2, 2)
         assert state.partial == [OPEN, 1, OPEN, OPEN]
         assert state.v == [0, 1, 0, 2]
+        assert (state.fixed, state.placed, state.pivot) == ({2: [2]}, {1}, 1)
 
     def test_rejects_refixing_position(self):
         state = state_for((2, 1, 4, 3))
@@ -522,8 +579,9 @@ class TestSolve:
 
     @pytest.mark.parametrize("wide", [False, True], ids=["square", "wide"])
     def test_fixed_counts_are_black_counts_on_the_partial(self, monkeypatch, wide):
-        # the searches count a guess's fixed matches from running counts built
-        # once per search; each must equal a fresh count against the partial
+        # the searches count a guess's fixed matches by run, on the partial's
+        # profile kept by apply_found_component; each must equal a fresh
+        # count against the partial
         states, counts = [], []
 
         def recording_initial_phase(oracle):
@@ -722,17 +780,26 @@ class TestSplicedBoards:
 
 class TestCheckBoard:
     def test_refuses_past_the_limit(self):
-        # n * k = 2**24, at n = k = 4096, is the largest board played; one
-        # more color is refused before anything is asked
-        check_board(GameConfig(4096, 4096))
-        with pytest.raises(CapacityError, match="limit is 16777216"):
-            check_board(GameConfig(4096, 4097))
-        with pytest.raises(CapacityError, match="n\\*k = 10000000000"):
-            check_board(GameConfig(100_000, 100_000))
+        # a board is played while its query bound is at most 2**19: n = k =
+        # 29961 (bound 524,271) and (2, 524287) (bound 2**19) are, one more
+        # hole or color is refused before anything is asked
+        check_board(GameConfig(16384, 16384))
+        check_board(GameConfig(29961, 29961))
+        check_board(GameConfig(2, 2**19 - 1))
+        with pytest.raises(CapacityError, match="may ask 524289 queries, limit is 524288"):
+            check_board(GameConfig(29962, 29962))
+        with pytest.raises(CapacityError, match="may ask 524289 queries, limit is 524288"):
+            check_board(GameConfig(2, 2**19))
+        # the wide boards an n * k limit let through: 8.4 M opening queries,
+        # and 10**6 of them
+        with pytest.raises(CapacityError, match="may ask 8388609 queries"):
+            check_board(GameConfig(2, 2**23))
+        with pytest.raises(CapacityError, match="may ask 1000005 queries"):
+            check_board(GameConfig(4, 10**6))
 
     def test_the_opening_refuses_before_asking(self):
-        config = GameConfig(4096, 4097)
+        config = GameConfig(4, 10**6)
         oracle = ScriptedOracle(config, [])
-        with pytest.raises(CapacityError, match="limit is 16777216"):
+        with pytest.raises(CapacityError, match="limit is 524288"):
             solve(oracle, config)
         assert oracle.transcript.events == []
