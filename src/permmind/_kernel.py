@@ -13,12 +13,14 @@ search guess's fixed matches on the partial's profile, which
 minimax over many small feasible sets of tuples and writes that same
 expression inline, only to save a call per member.  The adversary's kernels,
 `code_matrix` and `min_black_filter`, work on one numpy matrix holding a code
-per row; numpy is imported inside them (`_numpy`), so importing permmind
-never loads it.  Length validation happens in the callers, not here.
-`active_backend` names the implementation for benchmark metadata; there is
-only this one.
+per row, stored column by column so that each count and each filter runs
+over contiguous columns; numpy is imported inside them (`_numpy`), so
+importing permmind never loads it.  Length validation happens in the
+callers, not here.  `active_backend` names the implementation for
+benchmark metadata; there is only this one.
 """
 
+import math
 import os
 from bisect import bisect_left, bisect_right
 from operator import eq
@@ -86,43 +88,50 @@ def code_matrix(n, k):
     matrix of the smallest unsigned dtype holding k, in the lexicographic
     order of `itertools.permutations(range(1, k + 1), n)`.
 
-    Grows the codes one column at a time.  Each prefix row is followed by
-    every color it has not used yet, in increasing order; `unused` holds
-    those colors, one sorted row per prefix.
+    The matrix is stored column by column (Fortran order), in one (n, N)
+    array allocated once and returned transposed.  In that order column w
+    lists each length-w prefix's unused colors in turn, in increasing order,
+    each held for all perm(k - w - 1, n - w - 1) suffixes that follow it:
+    one `np.repeat` per column.  `unused` holds those colors, one sorted row
+    per prefix.  Beyond the matrix the build needs about two of its columns
+    of scratch.
     """
     np = _numpy()
 
     dtype = np.min_scalar_type(k)
-    matrix = np.empty((1, 0), dtype=dtype)
+    columns = np.empty((n, math.perm(k, n)), dtype=dtype)
     unused = np.arange(1, k + 1, dtype=dtype)[None, :]
     for width in range(n):
-        choices = k - width
-        grown = np.empty((len(matrix), choices, width + 1), dtype=dtype)
-        grown[:, :, :width] = matrix[:, None, :]
-        grown[:, :, width] = unused
-        matrix = grown.reshape(-1, width + 1)
+        columns[width] = np.repeat(unused.reshape(-1), math.perm(k - width - 1, n - width - 1))
         if width + 1 < n:
-            # the child taking its parent's j-th unused color keeps the others
+            # the child taking its parent's j-th unused color keeps the others;
+            # `np.take`, unlike fancy indexing, writes them with no temporary
+            choices = k - width
             keep = np.arange(choices - 1)
             keep = keep + (keep >= np.arange(choices)[:, None])
-            unused = unused[:, keep].reshape(-1, choices - 1)
-    return matrix
+            unused = np.take(unused, keep, axis=1).reshape(-1, choices - 1)
+    return columns.T
 
 
 def min_black_filter(matrix, guess):
     """Smallest black count any row of `matrix` scores against `guess`, as a
     plain int, plus the rows that score exactly that, in input order.  Raises
-    on an empty matrix.  Counts column by column into the smallest dtype
-    holding n, so the only scratch is two length-N vectors."""
+    on an empty matrix.
+
+    Counts over the rows of `matrix.T`, contiguous for a column-major matrix
+    such as `code_matrix`'s, into the smallest dtype holding n, and keeps the
+    survivors column-major too, so a whole game filters contiguous columns.
+    A row-major matrix is filtered the same, only slower."""
     np = _numpy()
 
     if not len(matrix):
         raise ValueError("empty member matrix")
+    columns = matrix.T
     counts = np.zeros(len(matrix), dtype=np.min_scalar_type(matrix.shape[1]))
-    for column, color in zip(matrix.T, guess):
+    for column, color in zip(columns, guess):
         counts += column == color
     best = counts.min()
-    return int(best), matrix[counts == best]
+    return int(best), np.compress(counts == best, columns, axis=1).T
 
 
 def partition_by_black(members, guess):

@@ -105,9 +105,9 @@ class AdversaryCodemaker(CodemakerOracle):
 
     Keeps the feasible set explicitly, so nothing it says is ever a lie about
     every remaining secret, and the game cannot end until the set is a
-    singleton (only then can an answer reach n).  The set is a numpy matrix
-    with one code per row, in lexicographic order (`_kernel.code_matrix`):
-    n bytes per code while k <= 255.
+    singleton (only then can an answer reach n).  The set is an (N, n) numpy
+    matrix of codes in lexicographic order, stored column by column
+    (`_kernel.code_matrix`): n bytes per code while k <= 255.
     """
 
     def __init__(self, config: GameConfig, max_states: int | None = None):
@@ -116,10 +116,10 @@ class AdversaryCodemaker(CodemakerOracle):
         self.feasible = _kernel.code_matrix(config.n, config.k)
 
     def _respond(self, guess: tuple) -> int:
-        count, survivors = _kernel.min_black_filter(self.feasible, guess)
-        if not len(survivors):
-            raise InconsistentOracleError("adversary feasible set emptied")
-        self.feasible = survivors
+        """The smallest black count in the feasible set; the codes scoring it
+        become the new set.  The set never empties: the filter keeps at
+        least one row of a non-empty matrix."""
+        count, self.feasible = _kernel.min_black_filter(self.feasible, guess)
         return count
 
 

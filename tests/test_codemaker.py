@@ -143,12 +143,30 @@ class TestAdversary:
             if m < k:
                 assert answer < n
 
-    def test_wide_colors_play_like_the_tuple_reference(self):
-        # k > 255 stores the codes as uint16
-        config = GameConfig(2, 300)
+    @pytest.mark.parametrize("n,k", [(4, 4), (4, 6), (2, 300)])
+    def test_wide_colors_play_like_the_tuple_reference(self, n, k):
+        # square, narrow-wide, and k > 255, which stores the codes as uint16
+        config = GameConfig(n, k)
         _, played = solve(AdversaryCodemaker(config), config)
         _, expected = solve(_TupleAdversary(config), config)
         assert played.events == expected.events
+
+    def test_feasible_set_stays_column_major(self):
+        # every filter counts contiguous columns only while the set stays
+        # stored column by column
+        layouts = []
+
+        class Watched(AdversaryCodemaker):
+            def _respond(self, guess):
+                count = super()._respond(guess)
+                layouts.append(self.feasible.flags.f_contiguous)
+                return count
+
+        config = GameConfig(5, 6)
+        oracle = Watched(config)
+        assert oracle.feasible.flags.f_contiguous
+        solve(oracle, config)
+        assert layouts and all(layouts)
 
     @pytest.mark.parametrize("n,k,queries", [(9, 9, 37), (6, 12, 23)])
     def test_large_board_lower_bound_play(self, n, k, queries):

@@ -5,6 +5,7 @@ row by row."""
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -60,17 +61,21 @@ def test_partial_match_count_ignores_open_positions(drawn, data):
         ]
 
 
-@given(codes_and_guess())
-def test_min_black_filter_agrees_with_black_count(drawn):
+@given(codes_and_guess(), st.sampled_from("CF"))
+def test_min_black_filter_agrees_with_black_count(drawn, order):
+    # the adversary's matrices are column-major; a row-major one filters the
+    # same, and column-major survivors stay column-major
     members, guess = drawn
     counts = [black_count(m, guess) for m in members]
     best = min(counts)
-    count, survivors = min_black_filter(np.array(members, dtype=np.uint8), guess)
+    count, survivors = min_black_filter(np.array(members, dtype=np.uint8, order=order), guess)
     assert type(count) is int
     assert count == best
     assert [tuple(row) for row in survivors.tolist()] == [
         m for m, c in zip(members, counts) if c == best
     ]
+    if order == "F":
+        assert survivors.flags.f_contiguous
 
 
 @given(codes_and_guess())
@@ -104,12 +109,24 @@ def test_accepts_lists_too():
     assert partition_by_black([[1, 2, 3], [3, 2, 1]], [1, 3, 2]) == {1: [[1, 2, 3]], 0: [[3, 2, 1]]}
 
 
-@pytest.mark.parametrize("n,k", [(2, 2), (3, 5), (4, 4), (2, 300)])
+@pytest.mark.parametrize("n,k", [(2, 2), (3, 5), (4, 4), (5, 5), (3, 7), (2, 300)])
 def test_code_matrix_rows_are_the_permutations_in_order(n, k):
     matrix = code_matrix(n, k)
     assert matrix.dtype == (np.uint8 if k < 256 else np.uint16)
+    assert matrix.flags.f_contiguous
     expected = list(all_injective_codes(GameConfig(n, k)))
     assert [tuple(row) for row in matrix.tolist()] == expected
+
+
+def test_code_matrix_builds_in_place():
+    # one allocation for the matrix, plus about two of its columns of scratch
+    tracemalloc.start()
+    try:
+        matrix = code_matrix(9, 9)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.5 * matrix.nbytes
 
 
 def _fresh_python(probe):
