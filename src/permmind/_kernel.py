@@ -92,9 +92,11 @@ def code_matrix(n, k):
     array allocated once and returned transposed.  In that order column w
     lists each length-w prefix's unused colors in turn, in increasing order,
     each held for all perm(k - w - 1, n - w - 1) suffixes that follow it:
-    one `np.repeat` per column.  `unused` holds those colors, one sorted row
-    per prefix.  Beyond the matrix the build needs about two of its columns
-    of scratch.
+    each column is written in place by broadcasting.  `unused` holds those
+    colors, one sorted row per prefix.  Beyond the matrix the build needs
+    scratch for the last `unused`, one column, and for the one it is taken
+    from, a (k - n + 1)-th of a column: about two columns on square boards,
+    little more than one on wide ones.
     """
     np = _numpy()
 
@@ -102,7 +104,7 @@ def code_matrix(n, k):
     columns = np.empty((n, math.perm(k, n)), dtype=dtype)
     unused = np.arange(1, k + 1, dtype=dtype)[None, :]
     for width in range(n):
-        columns[width] = np.repeat(unused.reshape(-1), math.perm(k - width - 1, n - width - 1))
+        columns[width].reshape(unused.size, -1)[...] = unused.reshape(-1, 1)
         if width + 1 < n:
             # the child taking its parent's j-th unused color keeps the others;
             # `np.take`, unlike fancy indexing, writes them with no temporary

@@ -52,7 +52,11 @@ def check_transcript(transcript: Transcript, secret=None) -> int | None:
             return bad
     # a spliced rotation of the board is recognised by its runs alone
     if len(events) >= k and all(
-        (type(ev.guess) is Splice and ev.guess.config == config and ev.guess.runs == (j, 1, n))
+        (
+            type(ev.guess) is Splice
+            and (ev.guess.config is config or ev.guess.config == config)
+            and ev.guess.runs == (j, 1, n)
+        )
         or ev.guess == config.rotation(j)
         for j, ev in enumerate(events[:k], start=1)
     ):
@@ -211,6 +215,17 @@ def minimax_value(config: GameConfig, allow_large: bool = False) -> int:
     them.  Each orbit is tried through its first member in the usual order,
     feasible codes first.  The value of a feasible set does not depend on
     how the search reached it, so the memo stays keyed by the exact set.
+
+    Guesses are pruned by a counting floor before any part is searched.  With
+    at most `branch` non-winning answers per query, no strategy settles more
+    than `_resolvable_within(d, branch)` secrets in d queries, so
+    `_depth_floor(|F|, branch)`, tabulated by size in `floors`, is a lower
+    bound on the value of any feasible set F.  A guess costs at least 1 plus
+    the value of its largest part not answered n, so once a best guess is
+    known, a guess with 1 + `_depth_floor(largest, branch)` >= best cannot
+    beat it and is skipped unsearched; the same floor for the whole set ends
+    the search early.  Values are unchanged: only the search into hopeless
+    guesses goes.
     `minimax_value_naive` tries every code and is the reference.
     """
     count = injective_code_count(config)
@@ -227,6 +242,7 @@ def minimax_value(config: GameConfig, allow_large: bool = False) -> int:
     n, k = config.n, config.k
     # answer n wins; n-1 cannot happen between distinct permutations when k == n
     branch = n - 1 if k == n else n
+    floors = [_depth_floor(size, branch) for size in range(len(codes) + 1)]
     memo: dict[tuple, int] = {}
 
     def value(feasible: tuple, symmetries: list[tuple], guess) -> int:
@@ -240,7 +256,7 @@ def minimax_value(config: GameConfig, allow_large: bool = False) -> int:
             return memo[feasible]
         if guess is not None:
             symmetries = _fixing(symmetries, guess)
-        floor = _depth_floor(len(feasible), branch)
+        floor = floors[len(feasible)]
         members = set(feasible)
         ordered = list(feasible) + [x for x in codes if x not in members]
         identity = symmetries[0][2]
@@ -255,6 +271,10 @@ def minimax_value(config: GameConfig, allow_large: bool = False) -> int:
             parts = _kernel.partition_by_black(feasible, x)
             if len(parts) == 1 and n not in parts:
                 continue  # answer is forced, the guess teaches nothing
+            if best is not None:
+                largest = max(len(part) for ans, part in parts.items() if ans != n)
+                if 1 + floors[largest] >= best:
+                    continue  # its largest part alone costs as much as `best`
             worst = 0
             abandoned = False
             for ans, part in sorted(parts.items(), key=lambda kv: (-len(kv[1]), kv[0])):

@@ -4,6 +4,7 @@ import random
 from dataclasses import replace
 from itertools import permutations
 from math import factorial
+from pathlib import Path
 
 import pytest
 
@@ -24,6 +25,7 @@ from permmind import (
     random_injective_code,
     solve,
 )
+from permmind import _kernel
 from permmind.bruteforce import _fixing, _position_symmetries
 from util import all_rotations
 
@@ -208,9 +210,26 @@ class TestMinimax:
         config = GameConfig(n, k)
         assert minimax_value(config) == minimax_value_naive(config)
 
-    @pytest.mark.parametrize("n,k,optimal", [(2, 7, 7), (4, 5, 6), (5, 5, 6)])
+    @pytest.mark.parametrize(
+        "n,k,optimal", [(2, 7, 7), (4, 5, 6), (5, 5, 6), (3, 6, 7), (2, 8, 8)]
+    )
     def test_exact_values_past_the_soft_limit(self, n, k, optimal):
         assert minimax_value(GameConfig(n, k), allow_large=True) == optimal
+
+    def test_hopeless_guesses_are_not_searched(self, monkeypatch):
+        # a guess whose largest part alone cannot be solved in fewer queries
+        # than the best guess so far is skipped before its parts are searched
+        calls = 0
+        partition = _kernel.partition_by_black
+
+        def counted(members, guess):
+            nonlocal calls
+            calls += 1
+            return partition(members, guess)
+
+        monkeypatch.setattr(_kernel, "partition_by_black", counted)
+        assert minimax_value(GameConfig(3, 5), allow_large=True) == 6
+        assert calls <= 2000  # 6,738 when every guess was searched
 
     def test_optimal_never_beats_information_floor(self):
         # with at most n distinguishable non-winning answers, |F| secrets
@@ -242,6 +261,27 @@ class TestMinimax:
             optimal = minimax_value(config)
             achieved = exhaustive_verify(config).max_queries
             assert optimal <= achieved <= optimal + 2 * n
+
+
+def _readme_optimum_table():
+    """(n, k, optimal, solver max) for each row of README's exact-optimum table."""
+    lines = (Path(__file__).resolve().parent.parent / "README.md").read_text().splitlines()
+    start = lines.index("| n | k | optimal | solver max |") + 2
+    rows = []
+    for line in lines[start:]:
+        if not line.startswith("|"):
+            break
+        rows.append(tuple(int(cell) for cell in line.strip("|").split("|")))
+    return rows
+
+
+def test_readme_optimum_table():
+    rows = _readme_optimum_table()
+    assert len(rows) >= 8
+    for n, k, optimal, solver_max in rows:
+        config = GameConfig(n, k)
+        assert minimax_value(config, allow_large=True) == optimal, (n, k)
+        assert exhaustive_verify(config).max_queries == solver_max, (n, k)
 
 
 def _move(sigma, colors, code):
