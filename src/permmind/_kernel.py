@@ -9,15 +9,16 @@ at the n pegs.  It is the only run-count kernel: the oracle and the audit
 count spliced guesses on the secret's profile, and the solver counts every
 search guess's fixed matches on the partial's profile, which
 `solver.apply_found_component` keeps up to date as pegs are fixed.
-`black_count` counts with `sum(map(eq, a, b))`.  `partition_by_black` serves
-minimax over many small feasible sets of tuples and writes that same
-expression inline, only to save a call per member.  The adversary's kernels,
-`code_matrix` and `min_black_filter`, work on one numpy matrix holding a code
-per row, stored column by column so that each count and each filter runs
-over contiguous columns; numpy is imported inside them (`_numpy`), so
-importing permmind never loads it.  Length validation happens in the
-callers, not here.  `active_backend` names the implementation for
-benchmark metadata; there is only this one.
+`black_count` counts with `sum(map(eq, a, b))`.  Minimax works on code
+indices: `black_row` counts one guess against every code of a board and
+writes that same expression inline, only to save a call per code, and
+`partition_by_black` groups the many small feasible sets of indices by such
+a row.  The adversary's kernels, `code_matrix` and `min_black_filter`, work
+on one numpy matrix holding a code per row, stored column by column so that
+each count and each filter runs over contiguous columns; numpy is imported
+inside them (`_numpy`), so importing permmind never loads it.  Length
+validation happens in the callers, not here.  `active_backend` names the
+implementation for benchmark metadata; there is only this one.
 """
 
 import math
@@ -136,9 +137,16 @@ def min_black_filter(matrix, guess):
     return int(best), np.compress(counts == best, columns, axis=1).T
 
 
-def partition_by_black(members, guess):
-    """Group members by their black count against `guess`, in input order."""
+def black_row(codes, guess):
+    """The black count of `guess` against each code of `codes`, as `bytes`
+    (so codes of at most 255 positions): row[i] counts codes[i]."""
+    return bytes([sum(map(eq, code, guess)) for code in codes])
+
+
+def partition_by_black(members, row):
+    """Group member indices by their count in `row`, a `black_row`, keeping
+    input order within each group and in the order groups first appear."""
     parts = {}
     for m in members:
-        parts.setdefault(sum(map(eq, m, guess)), []).append(m)
+        parts.setdefault(row[m], []).append(m)
     return parts

@@ -11,7 +11,7 @@ solver achieves.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import permutations
+from itertools import chain, permutations
 from operator import itemgetter
 
 from . import _kernel
@@ -195,6 +195,43 @@ def _fixing(symmetries: list[tuple], guess: tuple) -> list[tuple]:
     return kept
 
 
+def _orbit_ids(codes, symmetries: list[tuple]) -> list[int]:
+    """Each code's orbit id under `symmetries`: the index of the first code,
+    in the order of `codes`, whose blanked form is among the code's images.
+
+    A code's blanked form is the identity's image of it (unused colors read
+    0), and its images are its blanked images under every symmetry.  The
+    symmetries form a group acting on blanked forms, so the images of two
+    codes are equal or disjoint; only the first code of each orbit is moved
+    through every symmetry.
+    """
+    identity = symmetries[0][2]
+    label: dict[tuple, int] = {}
+    ids = []
+    for i, code in enumerate(codes):
+        orbit = label.get(tuple(map(identity.__getitem__, code)))
+        if orbit is None:
+            orbit = i
+            for _, getter, pi in symmetries:
+                label[getter(tuple(map(pi.__getitem__, code)))] = i
+        ids.append(orbit)
+    return ids
+
+
+class _Orbits:
+    """One list of symmetries, the orbit id of every code under it
+    (`_orbit_ids`), each orbit's first code in code order, and, in `after`,
+    the `_Orbits` of the symmetries that also fix each guess tried under it."""
+
+    __slots__ = ("symmetries", "ids", "firsts", "after")
+
+    def __init__(self, codes, symmetries: list[tuple]):
+        self.symmetries = symmetries
+        self.ids = _orbit_ids(codes, symmetries)
+        self.firsts = [i for i, orbit in enumerate(self.ids) if orbit == i]
+        self.after: dict[int, _Orbits] = {}
+
+
 def minimax_value(config: GameConfig, allow_large: bool = False) -> int:
     """Exact worst-case query count of an optimal codebreaker.
 
@@ -202,6 +239,12 @@ def minimax_value(config: GameConfig, allow_large: bool = False) -> int:
     every step, the answer splits the feasible set, and the game ends the
     moment the guess is the secret itself.  Exponential; boards beyond 32
     codes need allow_large, beyond 120 they are refused outright.
+
+    The search runs on indices into `codes`, the board's codes in
+    lexicographic order: feasible sets, and the memo's keys, are sorted
+    tuples of indices.  The first time a code is tried as a guess, its
+    counts against every code are kept as one `_kernel.black_row`, and each
+    partition groups indices by that row.
 
     The search tries one guess per orbit of the symmetries that fix every
     guess made so far.  Relabelling positions and colors, on guess and
@@ -212,9 +255,12 @@ def minimax_value(config: GameConfig, allow_large: bool = False) -> int:
     After it, a symmetry is a relabelling of positions plus the relabelling
     of used colors it forces, at most n! of them (`_fixing`); colors no guess
     has used are interchangeable, so a code's orbit is found by blanking
-    them.  Each orbit is tried through its first member in the usual order,
-    feasible codes first.  The value of a feasible set does not depend on
-    how the search reached it, so the memo stays keyed by the exact set.
+    them.  The same list of symmetries recurs at many nodes, so each distinct
+    one labels every code with an orbit id once (`_Orbits`), and the list
+    after each guess is kept with it.  A node tries the first member of each
+    orbit in the order of the feasible set, then of the remaining codes.
+    The value of a feasible set does not depend on how the search reached
+    it, so the memo stays keyed by the exact set.
 
     Guesses are pruned by a counting floor before any part is searched.  With
     at most `branch` non-winning answers per query, no strategy settles more
@@ -243,11 +289,26 @@ def minimax_value(config: GameConfig, allow_large: bool = False) -> int:
     # answer n wins; n-1 cannot happen between distinct permutations when k == n
     branch = n - 1 if k == n else n
     floors = [_depth_floor(size, branch) for size in range(len(codes) + 1)]
+    rows: list[bytes | None] = [None] * len(codes)
     memo: dict[tuple, int] = {}
+    # every distinct list of kept symmetries, by its (sigma, pi) pairs
+    known: dict[tuple, _Orbits] = {}
 
-    def value(feasible: tuple, symmetries: list[tuple], guess) -> int:
-        # `symmetries` fix every guess before `guess`, which left `feasible`;
-        # the ones that also fix `guess` are found only for a new set
+    def after(orbits: _Orbits, guess: int) -> _Orbits:
+        found = orbits.after.get(guess)
+        if found is None:
+            kept = _fixing(orbits.symmetries, codes[guess])
+            key = tuple((sigma, pi) for sigma, _, pi in kept)
+            found = known.get(key)
+            if found is None:
+                found = known[key] = _Orbits(codes, kept)
+            orbits.after[guess] = found
+        return found
+
+    def value(feasible: tuple, orbits: _Orbits, guess) -> int:
+        # `orbits` are those of the symmetries fixing every guess before
+        # `guess`, which left `feasible`; the ones after it are found only
+        # for a new set
         if len(feasible) == 1:
             return 1
         if len(feasible) == 2:
@@ -255,30 +316,32 @@ def minimax_value(config: GameConfig, allow_large: bool = False) -> int:
         if feasible in memo:
             return memo[feasible]
         if guess is not None:
-            symmetries = _fixing(symmetries, guess)
+            orbits = after(orbits, guess)
         floor = floors[len(feasible)]
-        members = set(feasible)
-        ordered = list(feasible) + [x for x in codes if x not in members]
-        identity = symmetries[0][2]
+        ids = orbits.ids
         tried = set()
         best = None
-        for x in ordered:
-            blanked = tuple(map(identity.__getitem__, x))
-            if blanked in tried:
+        for x in chain(feasible, orbits.firsts):
+            orbit = ids[x]
+            if orbit in tried:
                 continue  # a symmetric guess was tried already
-            for _, getter, pi in symmetries:
-                tried.add(getter(tuple(map(pi.__getitem__, x))))
-            parts = _kernel.partition_by_black(feasible, x)
+            tried.add(orbit)
+            row = rows[x]
+            if row is None:
+                row = rows[x] = _kernel.black_row(codes, codes[x])
+            parts = _kernel.partition_by_black(feasible, row)
             if len(parts) == 1 and n not in parts:
                 continue  # answer is forced, the guess teaches nothing
             if best is not None:
-                largest = max(len(part) for ans, part in parts.items() if ans != n)
+                # the part answered n holds the guess alone, never more than
+                # another part, so the largest part is one not answered n
+                largest = max(map(len, parts.values()))
                 if 1 + floors[largest] >= best:
                     continue  # its largest part alone costs as much as `best`
             worst = 0
             abandoned = False
             for ans, part in sorted(parts.items(), key=lambda kv: (-len(kv[1]), kv[0])):
-                cost = 1 if ans == n else 1 + value(tuple(part), symmetries, x)
+                cost = 1 if ans == n else 1 + value(tuple(part), orbits, x)
                 if cost > worst:
                     worst = cost
                 if best is not None and worst >= best:
@@ -291,7 +354,7 @@ def minimax_value(config: GameConfig, allow_large: bool = False) -> int:
         memo[feasible] = best
         return best
 
-    return value(codes, _position_symmetries(config), None)
+    return value(tuple(range(len(codes))), _Orbits(codes, _position_symmetries(config)), None)
 
 
 def minimax_value_naive(config: GameConfig) -> int:
@@ -301,14 +364,15 @@ def minimax_value_naive(config: GameConfig) -> int:
     if injective_code_count(config) > 12:
         raise CapacityError("the naive search is for cross-checks on tiny boards only")
     codes = tuple(all_injective_codes(config))
+    rows = [_kernel.black_row(codes, x) for x in codes]
     n = config.n
 
     def value(feasible: tuple) -> int:
         if len(feasible) == 1:
             return 1
         best = None
-        for x in codes:
-            parts = _kernel.partition_by_black(feasible, x)
+        for row in rows:
+            parts = _kernel.partition_by_black(feasible, row)
             if len(parts) == 1 and n not in parts:
                 continue
             worst = max(
@@ -319,4 +383,4 @@ def minimax_value_naive(config: GameConfig) -> int:
                 best = worst
         return best
 
-    return value(codes)
+    return value(tuple(range(len(codes))))

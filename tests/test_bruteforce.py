@@ -26,7 +26,7 @@ from permmind import (
     solve,
 )
 from permmind import _kernel
-from permmind.bruteforce import _fixing, _position_symmetries
+from permmind.bruteforce import _fixing, _orbit_ids, _position_symmetries
 from util import all_rotations
 
 
@@ -229,7 +229,9 @@ class TestMinimax:
 
         monkeypatch.setattr(_kernel, "partition_by_black", counted)
         assert minimax_value(GameConfig(3, 5), allow_large=True) == 6
-        assert calls <= 2000  # 6,738 when every guess was searched
+        # 6,738 when every guess was searched; exactly as many as before the
+        # search ran on code indices, so it tries the same guesses in order
+        assert calls == 1215
 
     def test_optimal_never_beats_information_floor(self):
         # with at most n distinguishable non-winning answers, |F| secrets
@@ -292,17 +294,21 @@ def _move(sigma, colors, code):
     return tuple(moved)
 
 
+def _guess_chain(codes, seed):
+    """The search's own first guess, then two random ones."""
+    return [codes[0]] + random.Random(seed).sample(codes, 2)
+
+
 class TestSymmetries:
     """The symmetries minimax_value keeps are exactly those of S_n x S_k
-    that fix every guess so far."""
+    that fix every guess so far, and their orbits are labelled by the first
+    code of each."""
 
     @pytest.mark.parametrize("n,k,seed", [(4, 4, 1), (3, 5, 2)])
     def test_kept_symmetries_fix_the_guesses(self, n, k, seed):
         config = GameConfig(n, k)
         codes = list(all_injective_codes(config))
-        rng = random.Random(seed)
-        # the search's own first guess, then random ones
-        guesses = [codes[0]] + rng.sample(codes, 2)
+        guesses = _guess_chain(codes, seed)
         symmetries = _position_symmetries(config)
         for depth, guess in enumerate(guesses, start=1):
             symmetries = _fixing(symmetries, guess)
@@ -335,6 +341,29 @@ class TestSymmetries:
             assert fixing_all == len(symmetries) * factorial(len(unused))
             if (n, k) == (3, 5) and depth == 1:
                 assert unused == [4, 5]
+
+    @pytest.mark.parametrize("n,k,seed", [(4, 4, 1), (3, 5, 2)])
+    def test_orbit_ids_label_the_orbits(self, n, k, seed):
+        config = GameConfig(n, k)
+        codes = list(all_injective_codes(config))
+        symmetries = _position_symmetries(config)
+        for guess in [None] + _guess_chain(codes, seed)[:2]:
+            if guess is not None:
+                symmetries = _fixing(symmetries, guess)
+            ids = _orbit_ids(codes, symmetries)
+            identity = symmetries[0][2]
+            blanked = [tuple(identity[c] for c in code) for code in codes]
+            images = [
+                {getter(tuple(pi[c] for c in code)) for _, getter, pi in symmetries}
+                for code in codes
+            ]
+            for a in range(len(codes)):
+                for b in range(len(codes)):
+                    assert (ids[a] == ids[b]) == (blanked[b] in images[a])
+                # an orbit's id is its first code, in code order
+                assert ids[a] == min(b for b in range(len(codes)) if ids[b] == ids[a])
+            if guess is None:
+                assert set(ids) == {0}
 
 
 class TestTranscriptInvariantEverywhere:

@@ -17,6 +17,7 @@ from permmind import GameConfig, all_injective_codes
 from permmind._kernel import (
     OPEN,
     black_count,
+    black_row,
     code_matrix,
     min_black_filter,
     partial_match_count,
@@ -79,12 +80,24 @@ def test_min_black_filter_agrees_with_black_count(drawn, order):
 
 
 @given(codes_and_guess())
-def test_partition_by_black_agrees_with_black_count(drawn):
+def test_black_row_agrees_with_black_count(drawn):
     members, guess = drawn
-    parts = partition_by_black(members, guess)
-    assert sorted(parts) == sorted({black_count(m, guess) for m in members})
+    row = black_row(members, guess)
+    assert type(row) is bytes
+    assert list(row) == [black_count(m, guess) for m in members]
+
+
+@given(codes_and_guess(), st.data())
+def test_partition_by_black_agrees_with_black_count(drawn, data):
+    # any subset of the indices, in any order: each group keeps that order,
+    # and the groups come in the order their counts first appear
+    members, guess = drawn
+    row = black_row(members, guess)
+    indices = data.draw(st.lists(st.sampled_from(range(len(members))), unique=True))
+    parts = partition_by_black(indices, row)
+    assert list(parts) == list(dict.fromkeys(row[i] for i in indices))
     for count, group in parts.items():
-        assert group == [m for m in members if black_count(m, guess) == count]
+        assert group == [i for i in indices if black_count(members[i], guess) == count]
 
 
 @pytest.mark.parametrize("b,count", [((3, 1, 2), 0), ((1, 3, 2), 1), ((1, 2, 3), 3)])
@@ -106,7 +119,9 @@ def test_accepts_lists_too():
     assert partial_match_count(rotation_profile([0, 2, 0], 3), [1, 1, 3]) == 1
     count, survivors = min_black_filter(np.array([[1, 2, 3], [3, 2, 1]]), [1, 3, 2])
     assert (count, survivors.tolist()) == (0, [[3, 2, 1]])
-    assert partition_by_black([[1, 2, 3], [3, 2, 1]], [1, 3, 2]) == {1: [[1, 2, 3]], 0: [[3, 2, 1]]}
+    row = black_row([[1, 2, 3], [3, 2, 1]], [1, 3, 2])
+    assert row == bytes([1, 0])
+    assert partition_by_black([1, 0], row) == {0: [1], 1: [0]}
 
 
 @pytest.mark.parametrize("n,k", [(2, 2), (3, 5), (4, 4), (5, 5), (3, 7), (2, 300)])
