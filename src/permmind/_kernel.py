@@ -26,8 +26,6 @@ import os
 from bisect import bisect_left, bisect_right
 from operator import eq
 
-OPEN = 0
-
 active_backend = "pure"
 
 

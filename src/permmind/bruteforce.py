@@ -1,8 +1,10 @@
 """Exhaustive verification and exact game-tree search.
 
-`exhaustive_verify` replays the solver against every possible secret of a
-board and audits each game: right answer, internally consistent transcript,
-and query budget respected.  `minimax_value` computes the true worst-case
+`replay` plays the solver against each secret it is given, drawing them one
+at a time, and audits each game: right answer, internally consistent
+transcript, and query budget respected.  `exhaustive_verify` replays every
+possible secret of a board; the command line's `bench` replays seeded
+samples through the same loop.  `minimax_value` computes the true worst-case
 query count of an optimal codebreaker by searching the full game tree; it is
 exponential and guarded accordingly, but on tiny boards it brackets what the
 solver achieves.
@@ -104,27 +106,19 @@ class VerificationReport:
         )
 
 
-def exhaustive_verify(
-    config: GameConfig,
-    solver=solve,
-    max_states: int | None = None,
-) -> VerificationReport:
-    """Replay the solver against every secret and audit each game.
+def replay(config: GameConfig, secrets, solver=solve) -> VerificationReport:
+    """Play and audit one game per secret, drawing each as it is played.
 
     Failures are collected, not raised, as audit_game reports them.  The
-    report also counts the games that needed the degenerate first/last swap
-    in the opening binary search.
+    report keeps only counts (its `total`, the query histogram, the games
+    that needed the degenerate first/last swap in the opening binary search)
+    and the failures, so memory does not grow with the number of secrets.
     """
-    _check_capacity(config, max_states, "exhaustive verification")
-    report = VerificationReport(
-        config=config,
-        total=injective_code_count(config),
-        bound=query_bound(config),
-    )
-    for secret in all_injective_codes(config):
-        oracle = StaticCodemaker(secret, config)
-        recovered, transcript = solver(oracle, config)
+    report = VerificationReport(config=config, total=0, bound=query_bound(config))
+    for secret in secrets:
+        recovered, transcript = solver(StaticCodemaker(secret, config), config)
         queries = transcript.query_count
+        report.total += 1
         report.query_histogram[queries] = report.query_histogram.get(queries, 0) + 1
         if queries > report.max_queries:
             report.max_queries = queries
@@ -135,20 +129,30 @@ def exhaustive_verify(
     return report
 
 
-def _resolvable_within(depth: int, branch: int) -> int:
-    """Most secrets any strategy can pin down in at most `depth` queries,
-    given at most `branch` non-winning answers per query."""
-    total = 1
-    for _ in range(depth - 1):
-        total = 1 + branch * total
-    return total
+def exhaustive_verify(
+    config: GameConfig,
+    solver=solve,
+    max_states: int | None = None,
+) -> VerificationReport:
+    """Replay the solver against every secret of the board and audit each
+    game (`replay`), once the board passes the capacity guard."""
+    _check_capacity(config, max_states, "exhaustive verification")
+    return replay(config, all_injective_codes(config), solver)
 
 
-def _depth_floor(size: int, branch: int) -> int:
-    depth = 1
-    while _resolvable_within(depth, branch) < size:
-        depth += 1
-    return depth
+def _depth_floors(count: int, branch: int) -> list[int]:
+    """floors[size], for size 0..count, is the least d >= 1 with
+    1 + branch + ... + branch**(d - 1) >= size: with at most `branch`
+    non-winning answers per query, no strategy settles more secrets than
+    that sum in d queries."""
+    floors = []
+    depth, within = 1, 1
+    for size in range(count + 1):
+        while within < size:
+            depth += 1
+            within = 1 + branch * within
+        floors.append(depth)
+    return floors
 
 
 def _position_symmetries(config: GameConfig) -> list[tuple]:
@@ -264,14 +268,13 @@ def minimax_value(config: GameConfig, allow_large: bool = False) -> int:
 
     Guesses are pruned by a counting floor before any part is searched.  With
     at most `branch` non-winning answers per query, no strategy settles more
-    than `_resolvable_within(d, branch)` secrets in d queries, so
-    `_depth_floor(|F|, branch)`, tabulated by size in `floors`, is a lower
-    bound on the value of any feasible set F.  A guess costs at least 1 plus
-    the value of its largest part not answered n, so once a best guess is
-    known, a guess with 1 + `_depth_floor(largest, branch)` >= best cannot
-    beat it and is skipped unsearched; the same floor for the whole set ends
-    the search early.  Values are unchanged: only the search into hopeless
-    guesses goes.
+    than 1 + branch + ... + branch**(d - 1) secrets in d queries, so
+    `floors[|F|]`, tabulated by size in one pass by `_depth_floors`, is a
+    lower bound on the value of any feasible set F.  A guess costs at least 1
+    plus the value of its largest part not answered n, so once a best guess
+    is known, a guess with 1 + floors[largest] >= best cannot beat it and is
+    skipped unsearched; the same floor for the whole set ends the search
+    early.  Values are unchanged: only the search into hopeless guesses goes.
     `minimax_value_naive` tries every code and is the reference.
     """
     count = injective_code_count(config)
@@ -288,7 +291,7 @@ def minimax_value(config: GameConfig, allow_large: bool = False) -> int:
     n, k = config.n, config.k
     # answer n wins; n-1 cannot happen between distinct permutations when k == n
     branch = n - 1 if k == n else n
-    floors = [_depth_floor(size, branch) for size in range(len(codes) + 1)]
+    floors = _depth_floors(len(codes), branch)
     rows: list[bytes | None] = [None] * len(codes)
     memo: dict[tuple, int] = {}
     # every distinct list of kept symmetries, by its (sigma, pi) pairs
@@ -339,15 +342,13 @@ def minimax_value(config: GameConfig, allow_large: bool = False) -> int:
                 if 1 + floors[largest] >= best:
                     continue  # its largest part alone costs as much as `best`
             worst = 0
-            abandoned = False
             for ans, part in sorted(parts.items(), key=lambda kv: (-len(kv[1]), kv[0])):
                 cost = 1 if ans == n else 1 + value(tuple(part), orbits, x)
                 if cost > worst:
                     worst = cost
                 if best is not None and worst >= best:
-                    abandoned = True
-                    break
-            if not abandoned and (best is None or worst < best):
+                    break  # abandoned: it cannot beat `best`
+            else:
                 best = worst
                 if best == floor:
                     break

@@ -26,7 +26,7 @@ import time
 from fractions import Fraction
 
 from . import __version__
-from .bruteforce import audit_game, exhaustive_verify, minimax_value
+from .bruteforce import audit_game, exhaustive_verify, minimax_value, replay
 from .codemaker import (
     LemmaViolationError,
     StaticCodemaker,
@@ -200,15 +200,9 @@ def cmd_bench(args) -> int:
         return 1
     _write((), args.out, "a")
     rng = random.Random(args.seed)
-    secrets = [random_injective_code(config, rng) for _ in range(args.samples)]
-    counts, failures = [], []
-    for secret in secrets:
-        recovered, transcript = solve(StaticCodemaker(secret, config), config)
-        counts.append(transcript.query_count)
-        failures += audit_game(secret, recovered, transcript, transcript.query_count)
-    bound = query_bound(config)
-    max_queries = max(counts)
-    mean = Fraction(sum(counts), len(counts))
+    secrets = (random_injective_code(config, rng) for _ in range(args.samples))
+    report = replay(config, secrets, solve)
+    mean = Fraction(sum(q * c for q, c in report.query_histogram.items()), report.total)
     rows = [
         ["n", "k", "samples", "seed", "max_queries", "mean_queries", "bound", "bound_ok"],
         [
@@ -216,19 +210,19 @@ def cmd_bench(args) -> int:
             config.k,
             args.samples,
             args.seed,
-            max_queries,
+            report.max_queries,
             str(mean),
-            bound,
-            "true" if max_queries <= bound else "false",
+            report.bound,
+            "true" if report.max_queries <= report.bound else "false",
         ],
     ]
     buffer = io.StringIO()
     writer = csv.writer(buffer, lineterminator="\n")
     writer.writerows(rows)
     _write([buffer.getvalue()], args.out)
-    for failure in failures:
+    for failure in report.failures:
         print(f"verification failed: {failure}", file=sys.stderr)
-    return 2 if failures else 0
+    return 0 if report.ok else 2
 
 
 class HumanCodemaker(CodemakerOracle):

@@ -141,15 +141,6 @@ class SolverState:
     def ask(self, guess) -> int:
         return self.oracle.answer(guess)
 
-    def ask_open(self, guess, fixed: int) -> int:
-        """Query a guess and return its open-position match count.  `fixed`
-        is the guess's number of matches on the identified components,
-        which the searches count by run on the partial's profile."""
-        return open_matches(self.ask(guess), fixed)
-
-    def record_derived(self, code, count: int) -> None:
-        self.transcript.record(code, count, derived=True)
-
 
 def ceil_log2(n: int) -> int:
     return (n - 1).bit_length()
@@ -231,14 +222,15 @@ def initial_phase(oracle: CodemakerOracle) -> SolverState:
             if ans == n:
                 secret = tuple(rot)
         else:
-            state.record_derived(rot, 0)
+            state.transcript.record(rot, 0, derived=True)
             counts.append(0)
     last = n - sum(counts)
     if last < 0:
         raise InconsistentOracleError(
             f"rotation answers sum to {sum(counts)}, more than the {n} matches available"
         )
-    state.record_derived(Splice(config, (k, 1, n)) if spliced else config.rotation(k), last)
+    last_rot = Splice(config, (k, 1, n)) if spliced else config.rotation(k)
+    state.transcript.record(last_rot, last, derived=True)
     counts.append(last)
     state.v = counts
     state.solved_secret = secret
@@ -376,7 +368,7 @@ def find_next(state: SolverState, j: int) -> int:
             guess = Splice(config, runs)
         else:
             guess = rr[:a] + rj[a : l - 1] + (c,) + rr[l:b] + rj[b:]
-        return state.ask_open(guess, partial_match_count(fixed, runs)) > 0
+        return open_matches(state.ask(guess), partial_match_count(fixed, runs)) > 0
 
     # the probe is the left-side guess at l = 1: rotation r holds rotation
     # j's colors shifted one slot right, so its 2..l_j are rj's 1..l_j-1
@@ -406,7 +398,7 @@ def find_next_many_colors(state: SolverState, j: int) -> int:
         # match in l..n, so the answer's sense is inverted
         runs = (r, 1, l - 1, j, l, n)
         guess = Splice(config, runs) if spliced else rr[: l - 1] + rj[l - 1 :]
-        return state.ask_open(guess, partial_match_count(fixed, runs)) == 0
+        return open_matches(state.ask(guess), partial_match_count(fixed, runs)) == 0
 
     return _bisect(1, n, in_prefix)
 

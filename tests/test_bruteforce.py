@@ -26,7 +26,7 @@ from permmind import (
     solve,
 )
 from permmind import _kernel
-from permmind.bruteforce import _fixing, _orbit_ids, _position_symmetries
+from permmind.bruteforce import _depth_floors, _fixing, _orbit_ids, _position_symmetries
 from util import all_rotations
 
 
@@ -232,6 +232,19 @@ class TestMinimax:
         # 6,738 when every guess was searched; exactly as many as before the
         # search ran on code indices, so it tries the same guesses in order
         assert calls == 1215
+
+    @pytest.mark.parametrize("branch", [1, 2, 3, 4, 5])
+    def test_depth_floors_match_their_definition(self, branch):
+        # floors[size] is the least d >= 1 with 1 + branch + ... +
+        # branch**(d - 1) >= size
+        def within(d):
+            return sum(branch**i for i in range(d))
+
+        floors = _depth_floors(720, branch)
+        assert len(floors) == 721
+        for size, d in enumerate(floors):
+            assert d >= 1 and within(d) >= size, (size, d)
+            assert d == 1 or within(d - 1) < size, (size, d)
 
     def test_optimal_never_beats_information_floor(self):
         # with at most n distinguishable non-winning answers, |F| secrets

@@ -381,6 +381,26 @@ class TestBenchCommand:
         assert code == 2
         assert "verification failed" in err and "wrong_secret" in err
 
+    def test_memory_does_not_grow_with_samples(self, capsys):
+        # each secret is drawn as it is played and only counts are kept, so
+        # ten times the games peak no higher (holding every secret and every
+        # count in lists peaked about 350 KB higher at 5,000 games)
+        def peak(samples):
+            argv = ["bench", "--n", "3", "--samples", str(samples), "--seed", "1"]
+            tracemalloc.start()
+            try:
+                before, _ = tracemalloc.get_traced_memory()
+                code = cli.main(argv)
+                _, top = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            capsys.readouterr()
+            assert code == 0
+            return top - before
+
+        peak(500)  # warm-up: caches and lazy imports land outside the comparison
+        assert peak(5000) <= peak(500) + 64 * 1024
+
 
 class TestInteractiveCommand:
     def test_honest_answers_find_the_code(self, capsys, monkeypatch):

@@ -13,9 +13,8 @@ import pytest
 from hypothesis import given, strategies as st
 
 import permmind
-from permmind import GameConfig, all_injective_codes
+from permmind import OPEN, GameConfig, all_injective_codes
 from permmind._kernel import (
-    OPEN,
     black_count,
     black_row,
     code_matrix,

@@ -81,6 +81,30 @@ def state_for(secret, config=None):
     return initial_phase(oracle)
 
 
+def check_search_results(monkeypatch, name):
+    """Wrap the search `solver.<name>`, which `solve` looks up each time it
+    runs the phase, so that every position it returns is checked against the
+    oracle's secret.  Returns the list of (secret, j, m) it has checked."""
+    search = getattr(permmind.solver, name)
+    calls = []
+
+    @functools.wraps(search)
+    def checked(state, j):
+        m = search(state, j)
+        secret = state.oracle.secret
+        assert state.config.rotation(j)[m - 1] == secret[m - 1], (secret, j, m)
+        calls.append((secret, j, m))
+        return m
+
+    monkeypatch.setattr(permmind.solver, name, checked)
+    return calls
+
+
+def play_every_secret(config):
+    for secret in all_injective_codes(config):
+        assert solve(StaticCodemaker(secret, config), config)[0] == secret
+
+
 def worked_example_state():
     """The worked n = 8 example after the opening, with three components
     fixed: 2 at position 5 (rotation 4), 5 and 6 at 7 and 8 (rotation 3)."""
@@ -306,18 +330,14 @@ class TestFindFirst:
         ]
         assert state.transcript.notes == [("terminal_swap", 2)]
 
-    def test_all_boards_find_a_true_component(self):
-        # wherever the opening search is used, the position it returns must
-        # really carry rotation j's color in the secret
+    def test_all_boards_find_a_true_component(self, monkeypatch):
+        # wherever solve runs the opening search, the position it returns
+        # must really carry rotation j's color in the secret
+        calls = check_search_results(monkeypatch, "find_first")
         for n in (4, 5, 6):
-            config = GameConfig(n, n)
-            for secret in all_injective_codes(config):
-                state = state_for(secret, config)
-                if state.solved_secret is not None or all(c == 1 for c in state.v):
-                    continue
-                j, _ = select_active_index(state)
-                m = find_first(state, j)
-                assert config.rotation(j)[m - 1] == secret[m - 1], (secret, j, m)
+            before = len(calls)
+            play_every_secret(GameConfig(n, n))
+            assert len(calls) > before
 
 
 class TestFindFirstUniform:
@@ -428,16 +448,15 @@ class TestFindNextManyColors:
         asked = [ev.guess for ev in state.transcript.events[5:]]
         assert asked == [(1, 2, 4, 5), (1, 2, 3, 5)]
 
-    def test_finds_true_components_everywhere(self):
+    def test_finds_true_components_everywhere(self, monkeypatch):
+        # every search solve runs returns a position carrying rotation j's
+        # color in the secret
+        calls = check_search_results(monkeypatch, "find_next_many_colors")
         for n, k in ((3, 5), (4, 6), (2, 4)):
-            config = GameConfig(n, k)
-            for secret in all_injective_codes(config):
-                state = state_for(secret, config)
-                if state.solved_secret is not None:
-                    continue
-                j, _ = select_active_index(state)
-                m = find_next_many_colors(state, j)
-                assert config.rotation(j)[m - 1] == secret[m - 1], (secret, j, m)
+            before = len(calls)
+            play_every_secret(GameConfig(n, k))
+            # on two holes solve goes from the opening straight to the endgame
+            assert (len(calls) > before) == (n > 2)
 
 
 @st.composite
