@@ -15,10 +15,12 @@ writes that same expression inline, only to save a call per code, and
 `partition_by_black` groups the many small feasible sets of indices by such
 a row.  The adversary's kernels, `code_matrix` and `min_black_filter`, work
 on one numpy matrix holding a code per row, stored column by column so that
-each count and each filter runs over contiguous columns; numpy is imported
-inside them (`_numpy`), so importing permmind never loads it.  Length
-validation happens in the callers, not here.  `active_backend` names the
-implementation for benchmark metadata; there is only this one.
+each count and each filter runs over contiguous columns.  The filter
+consumes its input: it must be writeable, the survivors are compacted into
+its first rows, and the rows past them are left unspecified.  numpy is
+imported inside these kernels (`_numpy`), so importing permmind never loads
+it.  Length validation happens in the callers, not here.  `active_backend`
+names the implementation for benchmark metadata; there is only this one.
 """
 
 import math
@@ -114,25 +116,53 @@ def code_matrix(n, k):
     return columns.T
 
 
+# Rows per gather in `min_black_filter`.  Its scratch is freed chunk by
+# chunk, and glibc keeps freed blocks below its mmap threshold resident: of
+# 2**14 to 2**20, 2**16 gave the adversary the lowest peak RSS.
+FILTER_CHUNK = 2**16
+
+
 def min_black_filter(matrix, guess):
     """Smallest black count any row of `matrix` scores against `guess`, as a
     plain int, plus the rows that score exactly that, in input order.  Raises
     on an empty matrix.
 
-    Counts over the rows of `matrix.T`, contiguous for a column-major matrix
-    such as `code_matrix`'s, into the smallest dtype holding n, and keeps the
-    survivors column-major too, so a whole game filters contiguous columns.
-    A row-major matrix is filtered the same, only slower."""
+    Filters in place: `matrix` must be writeable and is consumed.  The
+    survivors are moved to its first rows and returned as the view
+    `matrix[:kept]` of the same buffer; the rows past them are left
+    unspecified.  Counts over the rows of `matrix.T`, contiguous for a
+    column-major matrix such as `code_matrix`'s, into the smallest dtype
+    holding n, through one bool scratch reused for every column's hits and
+    then for the survivor mask.  Survivors are moved FILTER_CHUNK rows at a
+    time, so beside those two bytes per row the only scratch is one chunk's
+    indices and one chunk of a column; nothing moves while every row so far
+    has survived.  The result's columns stay contiguous, so a whole game
+    filters contiguous columns.  A row-major matrix is filtered the same,
+    only slower."""
     np = _numpy()
 
     if not len(matrix):
         raise ValueError("empty member matrix")
     columns = matrix.T
-    counts = np.zeros(len(matrix), dtype=np.min_scalar_type(matrix.shape[1]))
+    total = len(matrix)
+    counts = np.zeros(total, dtype=np.min_scalar_type(matrix.shape[1]))
+    hits = np.empty(total, dtype=bool)
     for column, color in zip(columns, guess):
-        counts += column == color
+        np.equal(column, color, out=hits)
+        counts += hits
     best = counts.min()
-    return int(best), np.compress(counts == best, columns, axis=1).T
+    survivors = np.equal(counts, best, out=hits)
+    kept = 0
+    for start in range(0, total, FILTER_CHUNK):
+        stop = min(start + FILTER_CHUNK, total)
+        rows = np.flatnonzero(survivors[start:stop])
+        if kept == start and len(rows) == stop - start:
+            kept = stop  # every row so far survived: nothing moves
+            continue
+        for column in columns:
+            column[kept : kept + len(rows)] = column[start:stop][rows]
+        kept += len(rows)
+    return int(best), matrix[:kept]
 
 
 def black_row(codes, guess):

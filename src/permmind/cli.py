@@ -23,6 +23,7 @@ import os
 import random
 import sys
 import time
+from collections import Counter
 from fractions import Fraction
 
 from . import __version__
@@ -160,6 +161,23 @@ def cmd_solve(args) -> int:
     return 2 if failures else 0
 
 
+SHOWN_FAILURES = 10
+
+
+def _print_failures(failures, prefix: str) -> None:
+    """The first SHOWN_FAILURES failures on stderr, each after `prefix`; if
+    any are left out, one more line with the total and a count per kind."""
+    for failure in failures[:SHOWN_FAILURES]:
+        print(f"{prefix}{failure}", file=sys.stderr)
+    if len(failures) > SHOWN_FAILURES:
+        kinds = Counter(failure[0] for failure in failures)
+        counts = ", ".join(f"{kind} {count}" for kind, count in kinds.items())
+        print(
+            f"{prefix}{len(failures)} failures in all, first {SHOWN_FAILURES} shown: {counts}",
+            file=sys.stderr,
+        )
+
+
 def cmd_exhaustive(args) -> int:
     config = _board(args)
     started = time.perf_counter()
@@ -172,8 +190,7 @@ def cmd_exhaustive(args) -> int:
         print(f"  degenerate opening swaps: {report.terminal_swaps}")
     print(f"  elapsed: {elapsed:.2f}s")
     if not report.ok:
-        for failure in report.failures[:10]:
-            print(f"  FAILURE: {failure}", file=sys.stderr)
+        _print_failures(report.failures, "  FAILURE: ")
         return 2
     return 0
 
@@ -220,8 +237,7 @@ def cmd_bench(args) -> int:
     writer = csv.writer(buffer, lineterminator="\n")
     writer.writerows(rows)
     _write([buffer.getvalue()], args.out)
-    for failure in report.failures:
-        print(f"verification failed: {failure}", file=sys.stderr)
+    _print_failures(report.failures, "verification failed: ")
     return 0 if report.ok else 2
 
 

@@ -107,7 +107,11 @@ class AdversaryCodemaker(CodemakerOracle):
     every remaining secret, and the game cannot end until the set is a
     singleton (only then can an answer reach n).  The set is an (N, n) numpy
     matrix of codes in lexicographic order, stored column by column
-    (`_kernel.code_matrix`): n bytes per code while k <= 255.
+    (`_kernel.code_matrix`): n bytes per code while k <= 255.  Each answer
+    filters it in place (`_kernel.min_black_filter`), so `feasible` is a
+    view of the first rows of the one buffer built at the start, and the
+    rows of that buffer past it are unspecified; a caller that keeps a set
+    across later answers must copy it.
     """
 
     def __init__(self, config: GameConfig, max_states: int | None = None):

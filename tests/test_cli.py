@@ -284,6 +284,31 @@ class TestExhaustiveCommand:
         assert len(lines) == 5
         assert all(line.startswith("  FAILURE: ('wrong_secret', ") for line in lines)
 
+    def test_many_failures_print_ten_and_a_tally(self, capsys, monkeypatch):
+        # secrets starting with 1 get a wrong code, the rest a tampered
+        # transcript: 6 and 18 failures on (4,4), of which ten are printed
+        def broken(oracle, config):
+            secret, transcript = solve(oracle, config)
+            if secret[0] == 1:
+                return secret[::-1], transcript
+            transcript.record(secret, 0)
+            return secret, transcript
+
+        monkeypatch.setattr(
+            cli,
+            "exhaustive_verify",
+            lambda config, max_states=None: exhaustive_verify(config, broken, max_states),
+        )
+        code, out, err = run(["exhaustive", "--n", "4"], capsys)
+        assert code == 2
+        assert "24 FAILURES" in out
+        lines = err.splitlines()
+        assert len(lines) == 11
+        assert all(line.startswith("  FAILURE: ('") for line in lines[:10])
+        assert lines[10] == (
+            "  FAILURE: 24 failures in all, first 10 shown: wrong_secret 6, bad_transcript 18"
+        )
+
     def test_capacity_guard(self, capsys):
         code, _, err = run(["exhaustive", "--n", "4", "--max-states", "3"], capsys)
         assert code == 1
@@ -380,6 +405,21 @@ class TestBenchCommand:
         code, out, err = run(["bench", "--n", "4", "--samples", "3", "--seed", "1"], capsys)
         assert code == 2
         assert "verification failed" in err and "wrong_secret" in err
+
+    def test_many_failures_print_ten_and_a_tally(self, capsys, monkeypatch):
+        # ten failures, then one line counting all of them by kind
+        monkeypatch.setattr(cli, "solve", lambda oracle, config: ((1, 2, 3), solve(oracle)[1]))
+        code, _, err = run(["bench", "--n", "3", "--samples", "200", "--seed", "1"], capsys)
+        rng = random.Random(1)
+        config = GameConfig(3, 3)
+        wrong = sum(random_injective_code(config, rng) != (1, 2, 3) for _ in range(200))
+        assert code == 2
+        lines = err.splitlines()
+        assert len(lines) == 11
+        assert all(line.startswith("verification failed: ('wrong_secret', ") for line in lines[:10])
+        assert lines[10] == (
+            f"verification failed: {wrong} failures in all, first 10 shown: wrong_secret {wrong}"
+        )
 
     def test_memory_does_not_grow_with_samples(self, capsys):
         # each secret is drawn as it is played and only counts are kept, so

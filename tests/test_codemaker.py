@@ -1,6 +1,7 @@
 """Oracles, the adversarial codemaker, and secret adaption."""
 
 import random
+import tracemalloc
 from itertools import repeat
 
 import pytest
@@ -152,21 +153,41 @@ class TestAdversary:
         assert played.events == expected.events
 
     def test_feasible_set_stays_column_major(self):
-        # every filter counts contiguous columns only while the set stays
-        # stored column by column
+        # every filter counts contiguous columns only while each column of the
+        # set stays contiguous
         layouts = []
+
+        def contiguous_columns(matrix):
+            return matrix.strides[0] == matrix.itemsize
 
         class Watched(AdversaryCodemaker):
             def _respond(self, guess):
                 count = super()._respond(guess)
-                layouts.append(self.feasible.flags.f_contiguous)
+                layouts.append(contiguous_columns(self.feasible))
                 return count
 
         config = GameConfig(5, 6)
         oracle = Watched(config)
-        assert oracle.feasible.flags.f_contiguous
+        assert contiguous_columns(oracle.feasible)
         solve(oracle, config)
         assert layouts and all(layouts)
+
+    @pytest.mark.parametrize("n,k", [(9, 9), (6, 12)])
+    def test_first_answer_filters_in_place(self, n, k):
+        # the first answer scans every code: a count and a mask byte per code
+        # and one chunk of scratch beside the matrix, never a survivor copy or
+        # 8-byte indices per survivor
+        config = GameConfig(n, k)
+        tracemalloc.start()
+        try:
+            oracle = AdversaryCodemaker(config)
+            before = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            oracle.answer(tuple(range(1, n + 1)))
+            added = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        assert added <= 3 * injective_code_count(config) + 2**20
 
     @pytest.mark.parametrize("n,k,queries", [(9, 9, 37), (6, 12, 23)])
     def test_large_board_lower_bound_play(self, n, k, queries):

@@ -5,8 +5,10 @@ row by row."""
 import os
 import subprocess
 import sys
+import random
 import tracemalloc
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -14,6 +16,7 @@ from hypothesis import given, strategies as st
 
 import permmind
 from permmind import OPEN, GameConfig, all_injective_codes
+from permmind import _kernel
 from permmind._kernel import (
     black_count,
     black_row,
@@ -61,21 +64,53 @@ def test_partial_match_count_ignores_open_positions(drawn, data):
         ]
 
 
-@given(codes_and_guess(), st.sampled_from("CF"))
-def test_min_black_filter_agrees_with_black_count(drawn, order):
+@given(codes_and_guess(), st.sampled_from("CF"), st.sampled_from([1, 2, 3, 5, 2**16]))
+def test_min_black_filter_agrees_with_black_count(drawn, order, chunk):
     # the adversary's matrices are column-major; a row-major one filters the
-    # same, and column-major survivors stay column-major
+    # same, and the survivors of a column-major one keep each column
+    # contiguous.  Tiny chunks walk every case: chunks kept whole before and
+    # after the first dropped row, emptied chunks, chunks moved part by part
     members, guess = drawn
     counts = [black_count(m, guess) for m in members]
     best = min(counts)
-    count, survivors = min_black_filter(np.array(members, dtype=np.uint8, order=order), guess)
+    with mock.patch.object(_kernel, "FILTER_CHUNK", chunk):
+        count, survivors = min_black_filter(np.array(members, dtype=np.uint8, order=order), guess)
     assert type(count) is int
     assert count == best
     assert [tuple(row) for row in survivors.tolist()] == [
         m for m, c in zip(members, counts) if c == best
     ]
     if order == "F":
-        assert survivors.flags.f_contiguous
+        assert survivors.strides[0] == survivors.itemsize
+
+
+def _reference_filter(matrix, guess):
+    """The minimum count and its rows in input order, counted column-wise on
+    a separate array."""
+    counts = (matrix == np.array(guess, dtype=matrix.dtype)).sum(axis=1)
+    best = counts.min()
+    return int(best), matrix[counts == best]
+
+
+@pytest.mark.parametrize("n,k,order", [(9, 9, "F"), (9, 9, "C"), (2, 300, "F")])
+def test_min_black_filter_compacts_in_place_across_chunks(n, k, order):
+    # more rows than one chunk, filtered guess after guess, so later filters
+    # run on the compacted views earlier ones returned
+    matrix = np.asarray(code_matrix(n, k), order=order)
+    assert len(matrix) > _kernel.FILTER_CHUNK
+    reference = matrix.copy()
+    rng = random.Random(n * k)
+    live = matrix
+    for _ in range(4):
+        guess = tuple(rng.sample(range(1, k + 1), n))
+        count, live = min_black_filter(live, guess)
+        best, reference = _reference_filter(reference, guess)
+        assert count == best
+        assert np.array_equal(live, reference)
+        assert np.shares_memory(live, matrix)
+        if order == "F":
+            assert live.strides[0] == live.itemsize
+    assert len(live) < len(matrix)
 
 
 @given(codes_and_guess())
