@@ -73,8 +73,6 @@ def partial_match_count(profile, runs):
     `runs`, flat triples j, a, b meaning rotation j on positions a..b: two
     bisects per run into rotation j's positions.  An empty run, b = a - 1,
     counts 0."""
-    if not profile:  # as before any peg is fixed: no lookups
-        return 0
     get = profile.get
     total = 0
     for i in range(0, len(runs), 3):

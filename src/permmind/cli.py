@@ -16,8 +16,6 @@ outcome worth a bug report).
 from __future__ import annotations
 
 import argparse
-import csv
-import io
 import json
 import os
 import random
@@ -39,7 +37,6 @@ from .core import (
     CapacityError,
     GameConfig,
     InconsistentOracleError,
-    InvalidCodeError,
     Transcript,
 )
 from .solver import CodemakerOracle, SolverInvariantError, check_board, query_bound, solve
@@ -156,8 +153,7 @@ def cmd_solve(args) -> int:
     )
     _write(out, args.out)
     failures = audit_game(secret, recovered, transcript, transcript.query_count)
-    for failure in failures:
-        print(f"verification failed: {failure}", file=sys.stderr)
+    _print_failures(failures, "verification failed: ")
     return 2 if failures else 0
 
 
@@ -198,10 +194,9 @@ def cmd_exhaustive(args) -> int:
 def cmd_adversary(args) -> int:
     config = _board(args)
     queries, trace = verify_lower_bound_play(config, max_states=args.max_states)
-    floor = config.n if config.k == config.n else config.k
     print(
         f"n={config.n} k={config.k}: adversary held out for {queries} queries "
-        f"(floor {floor}, bound {query_bound(config)})"
+        f"(floor {config.k}, bound {query_bound(config)})"
     )
     if args.trace:
         for m, answer in trace:
@@ -220,23 +215,15 @@ def cmd_bench(args) -> int:
     secrets = (random_injective_code(config, rng) for _ in range(args.samples))
     report = replay(config, secrets, solve)
     mean = Fraction(sum(q * c for q, c in report.query_histogram.items()), report.total)
-    rows = [
-        ["n", "k", "samples", "seed", "max_queries", "mean_queries", "bound", "bound_ok"],
+    bound_ok = "true" if report.max_queries <= report.bound else "false"
+    _write(
         [
-            config.n,
-            config.k,
-            args.samples,
-            args.seed,
-            report.max_queries,
-            str(mean),
-            report.bound,
-            "true" if report.max_queries <= report.bound else "false",
+            "n,k,samples,seed,max_queries,mean_queries,bound,bound_ok\n",
+            f"{config.n},{config.k},{args.samples},{args.seed},{report.max_queries},"
+            f"{mean},{report.bound},{bound_ok}\n",
         ],
-    ]
-    buffer = io.StringIO()
-    writer = csv.writer(buffer, lineterminator="\n")
-    writer.writerows(rows)
-    _write([buffer.getvalue()], args.out)
+        args.out,
+    )
     _print_failures(report.failures, "verification failed: ")
     return 0 if report.ok else 2
 
@@ -259,6 +246,7 @@ class HumanCodemaker(CodemakerOracle):
 
 def cmd_interactive(args) -> int:
     config = _board(args)
+    check_board(config)  # before the human is asked to think of a code
     print(
         f"Think of a code: {config.n} distinct colors out of 1..{config.k}, "
         "order matters.  Answer each guess with how many pegs sit exactly right."
@@ -345,7 +333,7 @@ def main(argv=None) -> int:
         return int(exc.code) if exc.code else 0
     try:
         return args.func(args)
-    except (InvalidCodeError, CapacityError, ValueError) as exc:
+    except (CapacityError, ValueError) as exc:
         print(f"permmind: error: {exc}", file=sys.stderr)
         return 1
     except InconsistentOracleError as exc:

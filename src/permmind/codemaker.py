@@ -4,8 +4,8 @@
 to nothing: it keeps the set of secrets consistent with everything answered
 so far, always answers with the smallest black count any remaining secret
 would produce, and discards the rest.  Played against, it forces the
-codebreaker to spend at least n queries when k == n and at least k queries
-when k > n; `verify_lower_bound_play` runs such a game and checks, on the
+codebreaker to spend at least k queries (n when k = n);
+`verify_lower_bound_play` runs such a game and checks, on the
 adversary's transcript, the answer floors the argument rests on (answer at
 query m is at most m when k == n, and below n before query k when k > n).
 
@@ -60,7 +60,7 @@ def random_injective_code(config: GameConfig, rng) -> tuple:
     return tuple(pool[: config.n])
 
 
-def _check_capacity(config: GameConfig, max_states: int | None, what: str) -> int:
+def _check_capacity(config: GameConfig, max_states: int | None, what: str) -> None:
     count = injective_code_count(config)
     limit = DEFAULT_STATE_LIMIT if max_states is None else max_states
     if count > limit:
@@ -68,7 +68,6 @@ def _check_capacity(config: GameConfig, max_states: int | None, what: str) -> in
             f"{what} would enumerate {count} codes, limit is {limit} "
             "(raise it with --max-states)"
         )
-    return count
 
 
 class StaticCodemaker(CodemakerOracle):
@@ -155,7 +154,9 @@ def adapt_secret(config: GameConfig, queries, secret) -> tuple:
     for q in queries:
         validate_code(q, config)
     validate_code(secret, config)
-    y, current, m = secret, queries[-1], len(queries)
+    # tuple copies: a Splice validates but cannot be indexed
+    queries = [tuple(q) for q in queries]
+    y, current, m = tuple(secret), queries[-1], len(queries)
     if config.k == config.n:
         pool = {c for c, x in zip(y, current) if c == x}
         if len(pool) < m + 1:
@@ -198,9 +199,9 @@ def verify_lower_bound_play(
     """Play the solver against the adversary and audit the answer floors.
 
     Returns (queries_used, trace) where trace lists (query_index, answer),
-    read from the adversary's transcript.  Raises LemmaViolationError if an
-    answer exceeds its floor: when k == n the m-th answer must stay at most
-    m; when k > n every answer before the k-th must stay below n.
+    read from the adversary's transcript.  Raises LemmaViolationError if the
+    game asks fewer than k queries (n when k = n) or an answer exceeds its
+    floor: the m-th at most m when k == n, below n before the k-th if k > n.
     """
     oracle = AdversaryCodemaker(config, max_states=max_states)
     secret, _ = solver(oracle, config)
@@ -211,10 +212,9 @@ def verify_lower_bound_play(
     queried = oracle.transcript.queried_events()
     trace = [(m, ev.black) for m, ev in enumerate(queried, start=1)]
     n, k = config.n, config.k
-    floor = n if k == n else k
-    if len(trace) < floor:
+    if len(trace) < k:
         raise LemmaViolationError(
-            f"game ended after {len(trace)} queries, below the {floor}-query floor"
+            f"game ended after {len(trace)} queries, below the {k}-query floor"
         )
     for m, answer in trace:
         if k == n:

@@ -165,7 +165,7 @@ def _phase_budgets(n: int) -> dict[str, int]:
     return {
         "find_first": 2 * log_n,
         "find_first_uniform": n // 2 + 1,
-        "find_next": max(1 + ceil_log2(n - 1), log_n),
+        "find_next": 1 + ceil_log2(n - 1),
         "find_next_many_colors": log_n,
         "endgame": 2,
     }
@@ -343,8 +343,9 @@ def find_next(state: SolverState, j: int) -> int:
     sit left or right of c's slot l_j; the binary search then splices
     rotation j against its successor around the pivot.  After the probe
     the interval is 1..l_j or l_j+1..n (rotation r holds c at l_j + 1),
-    so it has at most n - 1 positions; with no probe (l_j == n) it has n.
-    Costs at most max(1 + ceil(log2(n - 1)), ceil(log2 n)) queries.
+    so it has at most n - 1 positions; with no probe (l_j == n) it has n,
+    and ceil(log2 n) <= 1 + ceil(log2(n - 1)).  Costs at most
+    1 + ceil(log2(n - 1)) queries.
     """
     config = state.config
     n, k = config.n, config.k
@@ -433,8 +434,9 @@ def apply_found_component(state: SolverState, j: int, m: int) -> None:
 
 def endgame(state: SolverState) -> tuple:
     """Enumerate the completions consistent with every recorded answer and
-    guess them in sorted order.  At most two can remain, so this costs at
-    most 2 queries, the winning guess included."""
+    guess them in ascending order, the order `itertools.product` yields them
+    in over ascending options at ascending open positions.  At most two can
+    remain, so this costs at most 2 queries, the winning guess included."""
     config = state.config
     n, k = config.n, config.k
     opens = [i for i in range(1, n + 1) if state.partial[i - 1] == OPEN]
@@ -454,7 +456,6 @@ def endgame(state: SolverState) -> tuple:
         z = tuple(z)
         if first_miscount(events, z, config) is None:
             candidates.append(z)
-    candidates.sort()
     if not candidates:
         raise InconsistentOracleError("no completion matches the answers given")
     if len(candidates) > 2:

@@ -160,7 +160,7 @@ class TestSolveCommand:
         assert out.stat().st_size > 2_000_000
         assert peak < 2_000_000
 
-    def test_board_past_the_family_limit_exits_1(self, capsys):
+    def test_board_past_the_query_limit_exits_1(self, capsys):
         # a bound of about 1.9 * 10**6 queries is past the limit; refused
         # before any query
         started = time.perf_counter()
@@ -178,7 +178,7 @@ class TestSolveCommand:
         ],
         ids=["solve-seed", "solve-secret", "bench"],
     )
-    def test_wide_board_past_the_family_limit_draws_no_secret(self, capsys, monkeypatch, argv):
+    def test_wide_board_past_the_query_limit_draws_no_secret(self, capsys, monkeypatch, argv):
         # 5 * 10**6 opening queries: drawing or checking a secret would build
         # k-element lists first, so the board is refused before either
         def no_secret(*args):
@@ -492,6 +492,15 @@ class TestInteractiveCommand:
         assert code == 1
         assert "input ended" in err
 
+    def test_board_past_the_query_limit_prompts_nothing(self, capsys, monkeypatch):
+        def no_input(prompt=""):
+            pytest.fail("the human was asked for an answer")
+
+        monkeypatch.setattr("builtins.input", no_input)
+        code, out, err = run(["interactive", "--n", "40000"], capsys)
+        assert code == 1 and out == ""
+        assert "limit is 524288" in err
+
 
 class TestMinimaxCommand:
     def test_small_board(self, capsys):
@@ -513,6 +522,61 @@ class TestMinimaxCommand:
     def test_allow_large(self, capsys):
         code, out, _ = run(["minimax", "--n", "3", "--k", "5", "--allow-large"], capsys)
         assert code == 0
+
+
+README = Path(__file__).resolve().parent.parent / "README.md"
+
+
+def _readme_block(lines, start):
+    """The lines of the fenced block that opens at or after lines[start]."""
+    first = next(i for i in range(start, len(lines)) if lines[i].startswith("```")) + 1
+    last = lines.index("```", first)
+    return lines[first:last]
+
+
+def _readme_commands():
+    """{argv: expected lines} for each `$ permmind ...` example of README's
+    command line section, without its "..." and elapsed lines."""
+    examples = {}
+    expected = None
+    for line in README.read_text().splitlines():
+        if line.startswith("$ permmind "):
+            expected = examples.setdefault(tuple(line.split()[2:]), [])
+        elif not line.strip() or line.startswith("```"):
+            expected = None
+        elif expected is not None and line.strip() != "..." and "elapsed" not in line:
+            expected.append(line)
+    return examples
+
+
+def _in_order(expected, lines):
+    """Whether `expected` appears among `lines` as a subsequence."""
+    remaining = iter(lines)
+    return all(line in remaining for line in expected)
+
+
+class TestReadmeExamples:
+    def test_quick_start_prints_its_comments(self, capsys):
+        lines = README.read_text().splitlines()
+        code = _readme_block(lines, lines.index("## Quick start (Python)"))
+        comments = [line.split("  # ")[1] for line in code if "print(" in line and "  # " in line]
+        assert comments == ["(2, 1, 4, 3) 9 11", "5"]
+        exec("\n".join(code), {})
+        assert _in_order(comments, capsys.readouterr().out.splitlines())
+
+    def test_command_examples_print_their_lines(self, capsys):
+        examples = _readme_commands()
+        assert set(examples) == {
+            ("solve", "--n", "4", "--secret", "2,1,4,3"),
+            ("exhaustive", "--n", "4"),
+            ("adversary", "--n", "4"),
+            ("minimax", "--n", "4"),
+        }
+        for argv, expected in examples.items():
+            code, out, _ = run(list(argv), capsys)
+            assert code == 0, argv
+            assert expected, argv
+            assert _in_order(expected, out.splitlines()), argv
 
 
 class TestParser:

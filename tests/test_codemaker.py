@@ -14,6 +14,7 @@ from permmind import (
     InconsistentOracleError,
     InvalidCodeError,
     LemmaViolationError,
+    Splice,
     StaticCodemaker,
     Transcript,
     adapt_secret,
@@ -216,6 +217,16 @@ class TestAdversary:
         with pytest.raises(LemmaViolationError):
             verify_lower_bound_play(GameConfig(3, 3), solver=fake_solver)
 
+        # on a wide board the floor is k: n = 2 queries fall one short of 3
+        def wide_solver(oracle, config):
+            oracle.feasible = [(1, 2)]
+            oracle.transcript.record((2, 1), 0)
+            oracle.transcript.record((1, 2), 2)
+            return (1, 2), oracle.transcript
+
+        with pytest.raises(LemmaViolationError, match="below the 3-query floor"):
+            verify_lower_bound_play(GameConfig(2, 3), solver=wide_solver)
+
     def test_audit_alarms_on_overhigh_answer(self):
         # an answer above its floor must trip the alarm even in a long game
         def fake_solver(oracle, config):
@@ -246,6 +257,18 @@ class TestAdaptSecretInput:
     def test_invalid_code_rejected(self, queries, secret):
         with pytest.raises(InvalidCodeError):
             adapt_secret(GameConfig(3, 3), queries, secret)
+
+    @pytest.mark.parametrize("k", [64, 80])
+    def test_splices_adapt_like_their_tuples(self, k):
+        # validate_code accepts a Splice, so the walk must not index one
+        config = GameConfig(64, k)
+        queries = [Splice(config, (2, 1, 64)), Splice(config, (1, 1, 64))]
+        secret = Splice(config, (1, 1, 64))
+        z = adapt_secret(config, queries, secret)
+        assert z == adapt_secret(config, [tuple(q) for q in queries], tuple(secret))
+        assert type(z) is tuple
+        assert black(queries[0], z) == black(queries[0], secret)
+        assert black(queries[1], z) < 64
 
 
 class TestAdaptSameColors:

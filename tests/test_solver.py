@@ -182,6 +182,12 @@ class TestBounds:
                     unproved.append((n, k))
         assert unproved == [(n, n) for n in [*range(3, 9), *range(10, 14)]]
 
+    def test_find_next_budget_needs_no_max(self):
+        # ceil(log2 n) <= 1 + ceil(log2(n - 1)): of the two terms of the
+        # search's cost, the first is the larger on every board
+        for n in range(2, 10**5 + 1):
+            assert _phase_budgets(n)["find_next"] == max(1 + ceil_log2(n - 1), ceil_log2(n))
+
 
 class TestInitialPhase:
     def test_small_wide_board(self):
@@ -535,6 +541,33 @@ class TestApplyFoundComponent:
 
 
 class TestEndgame:
+    @pytest.mark.parametrize("n,k", [(5, 5), (6, 6), (4, 6), (5, 7)])
+    def test_completions_are_asked_in_ascending_order(self, monkeypatch, n, k):
+        # Two completions the endgame cannot tell apart answer every earlier
+        # query alike, so both secrets' games reach it with the same list:
+        # the later one's game asks both.  Over every secret of a board,
+        # each endgame that asks two asks them ascending exactly when each
+        # list it walks is ascending.  Square boards never leave two: the
+        # completions (a, b) and (b, a) of two open positions agree with
+        # different rotations, whose counts are on record.
+        asked = []
+        original = permmind.solver.endgame
+
+        @functools.wraps(original)
+        def recorded(state):
+            start = len(state.transcript.events)
+            result = original(state)
+            asked.append([ev.guess for ev in state.transcript.events[start:]])
+            return result
+
+        monkeypatch.setattr(permmind.solver, "endgame", recorded)
+        config = GameConfig(n, k)
+        for secret in all_injective_codes(config):
+            assert solve(StaticCodemaker(secret, config), config)[0] == secret
+        pairs = [guesses for guesses in asked if len(guesses) == 2]
+        assert bool(pairs) == (k > n)
+        assert all(first < second for first, second in pairs)
+
     def test_rejects_too_many_open_positions(self):
         state = state_for((2, 1, 4, 3))
         with pytest.raises(SolverInvariantError):
