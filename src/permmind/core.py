@@ -18,11 +18,12 @@ Partial solutions use 0 (OPEN) for holes whose color is still unknown.
 Position i agrees with exactly one rotation, ((i - y_i) mod k) + 1 for a code
 y, and every guess of the solver's searches is spliced from rotation slices
 and at most two single pegs.  A `Splice` is such a code held as its board and
-its runs alone (rotation j on positions a..b), never as its n colors, so
-validation reduces to checking that the runs' color arcs on the k-cycle are
-disjoint, a black count to two bisects per run into the other code's
-rotation profile (`_kernel.partial_match_count`), and a transcript event
-holds the splice itself.
+its runs alone (rotation j on positions a..b), never as its n colors.  Its
+constructor, in the loop that checks the runs tile the board, decides once
+whether their color arcs on the k-cycle are disjoint, so validation reduces
+to reading that verdict; a black count reduces to two bisects per run into
+the other code's rotation profile (`_kernel.partial_match_count`), and a
+transcript event holds the splice itself.
 The solver asks its opening rotations and later search guesses as splices
 on boards of at least `solver.SPLICE_MIN_HOLES` holes; every other code is
 a plain tuple and takes the plain paths.
@@ -106,15 +107,15 @@ def validate_code(code, config: GameConfig) -> None:
     entry is an exact int (bools, floats and numpy ints are not colors), the
     entries meet the palette 1..k in n distinct colors exactly when the code
     is valid.  The type test comes first, so no unhashable entry is ever
-    hashed.  A `Splice` of the board takes a test that never looks at its n
-    colors: its runs' color arcs must be pairwise disjoint.  A code the fast
-    test refuses is checked, and its first violation named in position
-    order, by the loop.
+    hashed.  A `Splice` takes an O(1) test that never looks at its n colors:
+    it must be of a board with k colors whose last run ends at n, and its
+    constructor must have found its color arcs disjoint (`Splice.injective`).
+    A code the fast test refuses is checked, and its first violation named
+    in position order, by the loop.
     """
     n = config.n
     if type(code) is Splice:
-        k = config.k
-        if len(code) == n and code.config.k == k and _arcs_disjoint(code.runs, k):
+        if code.injective and code.runs[-1] == n and code.config.k == config.k:
             return
     elif (
         len(code) == n
@@ -167,26 +168,36 @@ class Splice:
     `runs`.  A peg of color c at position p is the one-position run of
     rotation ((p - c) mod k) + 1.  The colors are never stored: iterating
     chains the runs' arcs of the board's `cycle`, and a splice pickles as its
-    board and runs.  A splice has the plain tuple's length, and equals and
-    hashes like it.  Raises ValueError when the runs do not tile 1..n.
+    board and runs, so unpickling builds it anew.  A splice has the plain
+    tuple's length, and equals and hashes like it.  Raises ValueError when
+    the runs do not tile 1..n.
+
+    The loop that checks the tiling also takes each nonempty run's color
+    arc, and `injective` keeps whether the arcs are pairwise disjoint, that
+    is, whether no color repeats (`_arcs_disjoint`).  A splice that repeats
+    a color is still built; `validate_code` refuses it.
     """
 
-    __slots__ = ("config", "runs")
+    __slots__ = ("config", "runs", "injective")
 
     def __init__(self, config: GameConfig, runs):
+        k = config.k
         kept = ()
+        arcs = []
         end = 0
         it = iter(runs)
         for j, a, b in zip(it, it, it):
-            if not (a == end + 1 and b >= end and 0 < j <= config.k):
+            if not (a == end + 1 and b >= end and 0 < j <= k):
                 raise ValueError(f"run ({j}, {a}, {b}) does not continue positions 1..{end}")
             if b > end:
                 kept += (j, a, b)
+                arcs.append(((a - j) % k, b - a + 1))
                 end = b
         if len(runs) % 3 or end != config.n:
             raise ValueError(f"runs {runs} do not tile positions 1..{config.n}")
         object.__setattr__(self, "config", config)
         object.__setattr__(self, "runs", kept)
+        object.__setattr__(self, "injective", _arcs_disjoint(arcs, k))
 
     def __setattr__(self, name, value):
         raise AttributeError(f"Splice is immutable: cannot set {name!r}")
@@ -224,11 +235,12 @@ def _arcs(runs, k: int) -> list:
     return [((a - j) % k, b - a + 1) for j, a, b in zip(it, it, it)]
 
 
-def _arcs_disjoint(runs, k: int) -> bool:
-    """Whether no color repeats across nonempty runs.  After sorting the
-    runs' arcs by start, each must end before the next starts, and the last,
-    wrapped past k, before the first."""
-    arcs = sorted(_arcs(runs, k))
+def _arcs_disjoint(arcs, k: int) -> bool:
+    """Whether the color arcs (start, length) of a splice's nonempty runs
+    share no color of the k-cycle.  After sorting the arcs by start, each
+    must end before the next starts, and the last, wrapped past k, before
+    the first."""
+    arcs = sorted(arcs)
     end = arcs[-1][0] + arcs[-1][1] - k
     for start, length in arcs:
         if start < end:
@@ -286,7 +298,10 @@ class Transcript:
 
     def record(self, guess, count: int, derived: bool = False):
         """Append and return an event holding the guess: a `Splice` as it
-        is, any other code as a tuple."""
+        is, any other code as a tuple.  Raises ValueError unless `count` is
+        an exact int in 0..n."""
+        if type(count) is not int:  # bools, floats and numpy ints are not counts
+            raise ValueError(f"black count {count!r} is a {type(count).__name__}, not an int")
         if not 0 <= count <= self.config.n:
             raise ValueError(f"black count {count} outside 0..{self.config.n}")
         if type(guess) is not Splice:

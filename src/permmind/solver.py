@@ -138,9 +138,6 @@ class SolverState:
     def open_count(self) -> int:
         return self.config.n - len(self.placed)
 
-    def ask(self, guess) -> int:
-        return self.oracle.answer(guess)
-
 
 def ceil_log2(n: int) -> int:
     return (n - 1).bit_length()
@@ -211,13 +208,14 @@ def initial_phase(oracle: CodemakerOracle) -> SolverState:
     check_board(config)
     n, k = config.n, config.k
     state = SolverState(config=config, oracle=oracle, partial=[OPEN] * n)
+    ask = oracle.answer
     spliced = n >= SPLICE_MIN_HOLES
     secret = None
     counts = []
     for j in range(1, k):
         rot = Splice(config, (j, 1, n)) if spliced else config.rotation(j)
         if secret is None:
-            ans = state.ask(rot)
+            ans = ask(rot)
             counts.append(ans)
             if ans == n:
                 secret = tuple(rot)
@@ -279,9 +277,10 @@ def find_first(state: SolverState, j: int) -> int:
     r = j % k + 1
     rj, rr = config.rotation(j), config.rotation(r)
     c = rr[0]  # the parked color
+    ask = state.oracle.answer
 
     def in_prefix(l):
-        s = state.ask(rj[: l - 1] + (c,) + rr[l:])
+        s = ask(rj[: l - 1] + (c,) + rr[l:])
         if s == 1:
             if l < n:
                 swap = rj[:l] + (c,) + rr[l + 1 :]
@@ -294,7 +293,7 @@ def find_first(state: SolverState, j: int) -> int:
                 # answer is 0.
                 swap = (c,) + rj[1 : n - 1] + (rj[0],)
                 state.transcript.notes.append(("terminal_swap", j))
-            s = state.ask(swap)
+            s = ask(swap)
         return s > 0
 
     return _bisect(1, n, in_prefix)
@@ -327,10 +326,11 @@ def find_first_uniform(state: SolverState) -> int:
             f"no secret on {n} holes answers 1 to every rotation"
         )
     ident = state.config.rotation(1)
+    ask = state.oracle.answer
     for p in range(1, n, 2):
-        if state.ask(_swapped(ident, p, p + 1)) == 0:
+        if ask(_swapped(ident, p, p + 1)) == 0:
             w = 3 if p == 1 else 1  # lowest position known to hold a wrong identity peg
-            return p if state.ask(_swapped(ident, p, w)) == 0 else p + 1
+            return p if ask(_swapped(ident, p, w)) == 0 else p + 1
     return n  # the unpaired last position is the match
 
 
@@ -355,6 +355,7 @@ def find_next(state: SolverState, j: int) -> int:
         raise SolverInvariantError("find_next needs an identified component as pivot")
     lj = (c + j - 2) % k + 1  # the slot where rotation j holds c
     fixed = state.fixed
+    ask = state.oracle.answer
     spliced = n >= SPLICE_MIN_HOLES
     if not spliced:
         rj, rr = config.rotation(j), config.rotation(r)
@@ -367,9 +368,10 @@ def find_next(state: SolverState, j: int) -> int:
         runs = (r, 1, a, j, a + 1, l - 1, p, l, l, r, l + 1, b, j, b + 1, n)
         if spliced:
             guess = Splice(config, runs)
+            runs = guess.runs  # its empty runs dropped
         else:
             guess = rr[:a] + rj[a : l - 1] + (c,) + rr[l:b] + rj[b:]
-        return open_matches(state.ask(guess), partial_match_count(fixed, runs)) > 0
+        return open_matches(ask(guess), partial_match_count(fixed, runs)) > 0
 
     # the probe is the left-side guess at l = 1: rotation r holds rotation
     # j's colors shifted one slot right, so its 2..l_j are rj's 1..l_j-1
@@ -390,6 +392,7 @@ def find_next_many_colors(state: SolverState, j: int) -> int:
     n, k = config.n, config.k
     r = j % k + 1
     fixed = state.fixed
+    ask = state.oracle.answer
     spliced = n >= SPLICE_MIN_HOLES
     if not spliced:
         rj, rr = config.rotation(j), config.rotation(r)
@@ -398,8 +401,12 @@ def find_next_many_colors(state: SolverState, j: int) -> int:
         # rotation r on 1..l-1, rotation j on l..n; a positive count puts the
         # match in l..n, so the answer's sense is inverted
         runs = (r, 1, l - 1, j, l, n)
-        guess = Splice(config, runs) if spliced else rr[: l - 1] + rj[l - 1 :]
-        return open_matches(state.ask(guess), partial_match_count(fixed, runs)) == 0
+        if spliced:
+            guess = Splice(config, runs)
+            runs = guess.runs  # its empty runs dropped
+        else:
+            guess = rr[: l - 1] + rj[l - 1 :]
+        return open_matches(ask(guess), partial_match_count(fixed, runs)) == 0
 
     return _bisect(1, n, in_prefix)
 
@@ -463,7 +470,7 @@ def endgame(state: SolverState) -> tuple:
             f"{len(candidates)} completions remain consistent; bookkeeping is broken"
         )
     for z in candidates:
-        if state.ask(z) == n:
+        if state.oracle.answer(z) == n:
             return z
     raise InconsistentOracleError("every consistent completion was rejected")
 

@@ -24,7 +24,6 @@ from permmind import (
     validate_code,
 )
 from permmind._kernel import black_count, partial_match_count, rotation_profile
-from permmind.core import _arcs_disjoint
 from util import all_rotations
 
 
@@ -89,7 +88,41 @@ class TestSplice:
         plain = _verdict(tuple(splice), config)
         assert _verdict(splice, config) == plain
         # the arc test alone decides a splice of the board's own rotations
-        assert _arcs_disjoint(splice.runs, config.k) == (plain is None)
+        assert splice.injective == (plain is None)
+
+    # color blocks (first color, length) in position order, on boards whose
+    # runs tile them in two
+    @pytest.mark.parametrize(
+        "n,k,blocks,code,injective",
+        [
+            pytest.param(4, 6, [(3, 2), (1, 2)], (3, 4, 1, 2), True, id="touching"),
+            pytest.param(4, 6, [(1, 2), (5, 2)], (1, 2, 5, 6), True, id="touching-across-the-wrap"),
+            pytest.param(4, 6, [(1, 2), (2, 2)], (1, 2, 2, 3), False, id="overlapping-by-one"),
+            pytest.param(
+                5, 6, [(1, 2), (5, 3)], (1, 2, 5, 6, 1), False,
+                id="overlapping-by-one-across-the-wrap",
+            ),
+            pytest.param(6, 6, [(4, 3), (1, 3)], (4, 5, 6, 1, 2, 3), True, id="full-square-board"),
+            pytest.param(
+                6, 6, [(4, 3), (2, 3)], (4, 5, 6, 2, 3, 4), False, id="full-square-board-repeating"
+            ),
+            pytest.param(5, 6, [(3, 2), (6, 3)], (3, 4, 6, 1, 2), True, id="one-color-unused"),
+            pytest.param(
+                5, 6, [(3, 2), (1, 3)], (3, 4, 1, 2, 3), False, id="one-color-unused-repeating"
+            ),
+        ],
+    )
+    def test_two_run_verdict(self, n, k, blocks, code, injective):
+        config = GameConfig(n, k)
+        runs, a = (), 1
+        for c, length in blocks:  # color c at position a is rotation ((a - c) mod k) + 1
+            runs += ((a - c) % k + 1, a, a + length - 1)
+            a += length
+        splice = Splice(config, runs)
+        assert splice.runs == runs and splice == code
+        assert splice.injective is injective
+        assert (_verdict(tuple(splice), config) is None) is injective
+        assert _verdict(splice, config) == _verdict(tuple(splice), config)
 
     def test_refuses_an_arc_wrapping_onto_another(self):
         config = GameConfig(3, 4)
@@ -99,6 +132,10 @@ class TestSplice:
         assert _verdict(splice, config) == (
             "duplicate", "color 1 appears more than once (position 3)"
         )
+        # unpickling rebuilds the splice, and with it the verdict
+        copied = pickle.loads(pickle.dumps(splice))
+        assert copied.runs == splice.runs and copied.injective is False
+        assert _verdict(copied, config) == _verdict(splice, config)
 
     @given(board_and_splice(), st.data())
     def test_run_count_is_the_black_count(self, drawn, data):
@@ -468,3 +505,12 @@ class TestTranscript:
             t.record((1, 2, 3), 4)
         with pytest.raises(ValueError):
             t.record((1, 2, 3), -1)
+
+    @pytest.mark.parametrize(
+        "count", [True, 1.0, np.int64(1), "1", None], ids=["bool", "float", "np.int64", "str", "None"]
+    )
+    def test_rejects_a_count_that_is_no_int(self, count):
+        t = Transcript(GameConfig(3, 3))
+        with pytest.raises(ValueError, match="not an int"):
+            t.record((2, 3, 1), count)
+        assert t.events == []

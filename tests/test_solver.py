@@ -33,6 +33,7 @@ from permmind import (
     query_bound,
     select_active_index,
     solve,
+    validate_code,
 )
 import permmind._kernel
 import permmind.solver
@@ -689,7 +690,7 @@ class TestSolve:
         @functools.wraps(original)
         def overspending(state, *args):
             for _ in range(5):
-                state.ask(state.config.rotation(1))
+                state.oracle.answer(state.config.rotation(1))
             return original(state, *args)
 
         monkeypatch.setattr(permmind.solver, phase, overspending)
@@ -815,6 +816,17 @@ class TestSplicedBoards:
             transcript = solve(StaticCodemaker(secret, config), config)[1]
             assert not any(type(ev.guess) is Splice for ev in transcript.events)
             assert transcript.events == expected.events
+
+    @pytest.mark.parametrize("n,k", BOARDS)
+    def test_every_splice_of_a_game_is_found_injective(self, n, k):
+        config = GameConfig(n, k)
+        secret = tuple(random.Random(n + 2 * k).sample(range(1, k + 1), n))
+        transcript = solve(StaticCodemaker(secret, config), config)[1]
+        spliced = [ev.guess for ev in transcript.events if type(ev.guess) is Splice]
+        assert len(spliced) > k
+        for splice in spliced:
+            assert splice.injective
+            validate_code(tuple(splice), config)
 
     def test_a_large_transcript_holds_runs_not_codes(self):
         # 256 pegs a query would take 4.6 MB here; runs take about 15 ints
