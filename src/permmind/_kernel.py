@@ -11,44 +11,24 @@ search guess's fixed matches on the partial's profile, which
 `solver.apply_found_component` keeps up to date as pegs are fixed.
 `black_count` counts with `sum(map(eq, a, b))`.  Minimax works on code
 indices: `black_row` counts one guess against every code of a board and
-writes that same expression inline, only to save a call per code, and
-`partition_by_black` groups the many small feasible sets of indices by such
-a row.  The adversary's kernels, `code_matrix` and `min_black_filter`, work
-on one numpy matrix holding a code per row, stored column by column so that
-each count and each filter runs over contiguous columns.  The filter
-consumes its input: it must be writeable, the survivors are compacted into
-its first rows, and the rows past them are left unspecified.  numpy is
-imported inside these kernels (`_numpy`), so importing permmind never loads
-it.  Length validation happens in the callers, not here.  `active_backend`
-names the implementation for benchmark metadata; there is only this one.
+writes that same expression inline, only to save a call per code, as the
+adversary's filter does on a decoded set, and `partition_by_black` groups
+the many small feasible sets of indices by such a row.  The adversary's
+kernels work on a `CodeSet`, a set of codes of one board numbered in
+lexicographic order: `code_set` holds a whole board, and `min_black_filter`
+answers a guess with a new set, leaving its input as it was.  A large set
+is one int with a bit per code, counted a position at a time with big-int
+AND, OR and XOR; a small one holds its codes as tuples and counts them one
+by one.  The kernels use the standard library alone.  Length validation
+happens in the callers, not here.  `active_backend` names the
+implementation for benchmark metadata; there is only this one.
 """
 
 import math
-import os
 from bisect import bisect_left, bisect_right
 from operator import eq
 
 active_backend = "pure"
-
-
-def _numpy():
-    """numpy, imported on first use.
-
-    numpy's OpenBLAS starts a worker thread per further CPU at load, and each
-    one busy-waits for about 0.2 s of CPU before it sleeps, competing with the
-    caller's own work.  These kernels use no BLAS, so the first import runs
-    with OPENBLAS_NUM_THREADS=1, unless the environment already sets it; the
-    environment is restored afterwards.
-    """
-    if "OPENBLAS_NUM_THREADS" in os.environ:
-        import numpy
-    else:
-        os.environ["OPENBLAS_NUM_THREADS"] = "1"
-        try:
-            import numpy
-        finally:
-            del os.environ["OPENBLAS_NUM_THREADS"]
-    return numpy
 
 
 def black_count(a, b):
@@ -82,85 +62,186 @@ def partial_match_count(profile, runs):
     return total
 
 
-def code_matrix(n, k):
-    """Every code of n distinct colors from 1..k, one per row of an (N, n)
-    matrix of the smallest unsigned dtype holding k, in the lexicographic
-    order of `itertools.permutations(range(1, k + 1), n)`.
+class _Board:
+    """The codes of n distinct colors from 1..k, numbered from 0 in the
+    lexicographic order of `itertools.permutations(range(1, k + 1), n)`.
 
-    The matrix is stored column by column (Fortran order), in one (n, N)
-    array allocated once and returned transposed.  In that order column w
-    lists each length-w prefix's unused colors in turn, in increasing order,
-    each held for all perm(k - w - 1, n - w - 1) suffixes that follow it:
-    each column is written in place by broadcasting.  `unused` holds those
-    colors, one sorted row per prefix.  Beyond the matrix the build needs
-    scratch for the last `unused`, one column, and for the one it is taken
-    from, a (k - n + 1)-th of a column: about two columns on square boards,
-    little more than one on wide ones.
+    The codes sharing a first color c are the `block` indices from
+    (c - 1) * block on, and their last n - 1 colors, each color above c
+    lowered by one, run through `sub`, the (n - 1, k - 1) board, in its
+    order.  So the hit mask of color c at position w >= 1, whose bit i is set
+    when code i holds c there, is c - 1 copies of `sub`'s mask of c - 1 at
+    w - 1, one per first color below c, then a block left empty for c
+    itself, then k - c copies of `sub`'s mask of c at w - 1.  `hits` builds
+    a mask so, by shift/OR doubling (`_repeat`); the sub-boards keep theirs
+    in `_hits`, so a game pays for each of its masks only once.
     """
-    np = _numpy()
 
-    dtype = np.min_scalar_type(k)
-    columns = np.empty((n, math.perm(k, n)), dtype=dtype)
-    unused = np.arange(1, k + 1, dtype=dtype)[None, :]
-    for width in range(n):
-        columns[width].reshape(unused.size, -1)[...] = unused.reshape(-1, 1)
-        if width + 1 < n:
-            # the child taking its parent's j-th unused color keeps the others;
-            # `np.take`, unlike fancy indexing, writes them with no temporary
-            choices = k - width
-            keep = np.arange(choices - 1)
-            keep = keep + (keep >= np.arange(choices)[:, None])
-            unused = np.take(unused, keep, axis=1).reshape(-1, choices - 1)
-    return columns.T
+    def __init__(self, n, k):
+        self.k = k
+        self.size = math.perm(k, n)
+        self.block = math.perm(k - 1, n - 1)
+        self.sub = _Board(n - 1, k - 1) if n > 1 else None
+        self._hits = {}
+
+    def hits(self, w, c):
+        """The hit mask of color c (from 1) at position w (from 0)."""
+        block = self.block
+        if w == 0:
+            return ((1 << block) - 1) << ((c - 1) * block)
+        sub = self.sub
+        below = _repeat(sub.cached_hits(w - 1, c - 1), block, c - 1) if c > 1 else 0
+        above = _repeat(sub.cached_hits(w - 1, c), block, self.k - c) if c < self.k else 0
+        return below | above << (c * block)
+
+    def cached_hits(self, w, c):
+        mask = self._hits.get((w, c))
+        if mask is None:
+            mask = self._hits[w, c] = self.hits(w, c)
+        return mask
+
+    def code(self, index):
+        """The code numbered `index`."""
+        unused = list(range(1, self.k + 1))
+        code = []
+        board = self
+        while board is not None:
+            color, index = divmod(index, board.block)
+            code.append(unused.pop(color))
+            board = board.sub
+        return tuple(code)
 
 
-# Rows per gather in `min_black_filter`.  Its scratch is freed chunk by
-# chunk, and glibc keeps freed blocks below its mmap threshold resident: of
-# 2**14 to 2**20, 2**16 gave the adversary the lowest peak RSS.
-FILTER_CHUNK = 2**16
+def _repeat(block, width, count):
+    """`count` copies of a `width`-bit block side by side, by doubling."""
+    out = 0
+    while count:
+        if count & 1:
+            out = out << width | block
+        block |= block << width
+        width *= 2
+        count >>= 1
+    return out
 
 
-def min_black_filter(matrix, guess):
-    """Smallest black count any row of `matrix` scores against `guess`, as a
-    plain int, plus the rows that score exactly that, in input order.  Raises
-    on an empty matrix.
+# Each byte value's flag: 1 when any of its bits is set.
+_NONZERO = bytes([0] + [1] * 255)
 
-    Filters in place: `matrix` must be writeable and is consumed.  The
-    survivors are moved to its first rows and returned as the view
-    `matrix[:kept]` of the same buffer; the rows past them are left
-    unspecified.  Counts over the rows of `matrix.T`, contiguous for a
-    column-major matrix such as `code_matrix`'s, into the smallest dtype
-    holding n, through one bool scratch reused for every column's hits and
-    then for the survivor mask.  Survivors are moved FILTER_CHUNK rows at a
-    time, so beside those two bytes per row the only scratch is one chunk's
-    indices and one chunk of a column; nothing moves while every row so far
-    has survived.  The result's columns stay contiguous, so a whole game
-    filters contiguous columns.  A row-major matrix is filtered the same,
-    only slower."""
-    np = _numpy()
 
-    if not len(matrix):
-        raise ValueError("empty member matrix")
-    columns = matrix.T
-    total = len(matrix)
-    counts = np.zeros(total, dtype=np.min_scalar_type(matrix.shape[1]))
-    hits = np.empty(total, dtype=bool)
-    for column, color in zip(columns, guess):
-        np.equal(column, color, out=hits)
-        counts += hits
-    best = counts.min()
-    survivors = np.equal(counts, best, out=hits)
-    kept = 0
-    for start in range(0, total, FILTER_CHUNK):
-        stop = min(start + FILTER_CHUNK, total)
-        rows = np.flatnonzero(survivors[start:stop])
-        if kept == start and len(rows) == stop - start:
-            kept = stop  # every row so far survived: nothing moves
-            continue
-        for column in columns:
-            column[kept : kept + len(rows)] = column[start:stop][rows]
-        kept += len(rows)
-    return int(best), matrix[:kept]
+def _indices(mask):
+    """The positions of the set bits of `mask`, in increasing order: its
+    nonzero bytes are found with `bytes.find`, in C."""
+    data = mask.to_bytes((mask.bit_length() + 7) // 8, "little")
+    flags = data.translate(_NONZERO)
+    out = []
+    i = flags.find(1)
+    while i >= 0:
+        byte = data[i]
+        while byte:
+            low = byte & -byte
+            out.append(8 * i + low.bit_length() - 1)
+            byte ^= low
+        i = flags.find(1, i + 1)
+    return out
+
+
+class CodeSet:
+    """A set of codes of one board, held either as `mask`, an int whose bit
+    i is set when the board's code i is in the set, or, once few codes are
+    left, as `codes`, the codes themselves in lexicographic order.  A value:
+    nothing changes it after it is built.  `len`, indexing and iteration see
+    the codes as tuples, in lexicographic order."""
+
+    __slots__ = ("board", "mask", "codes", "_len")
+
+    def __init__(self, board, mask=None, codes=None):
+        self.board = board
+        self.mask = mask
+        self.codes = codes
+        self._len = len(codes) if mask is None else mask.bit_count()
+
+    def __len__(self):
+        return self._len
+
+    def __iter__(self):
+        if self.codes is None:
+            return map(self.board.code, _indices(self.mask))
+        return iter(self.codes)
+
+    def __getitem__(self, i):
+        if self.codes is None:
+            return self.board.code(_indices(self.mask)[i])
+        return self.codes[i]
+
+
+def code_set(n, k):
+    """Every code of n distinct colors from 1..k."""
+    board = _Board(n, k)
+    return CodeSet(board, mask=(1 << board.size) - 1)
+
+
+# `min_black_filter` counts a set by mask while it holds more than a
+# 2**-DECODE_SHIFT share of its board, and decodes it below that: a mask
+# answer costs about n full-board hit masks, and a decoded one a few
+# microseconds a code.  Whole games by `verify_lower_bound_play`, best of
+# several, in ms, on an Intel Xeon VM with Python 3.11.7:
+#
+#   shift     (9,9)  (6,12)  (10,10)  (2,1000)
+#   9           6.8     7.9     59.9       268
+#   10          4.6     7.4     53.7       238
+#   11          5.1     6.8     53.2       208
+#   12          5.4     6.7     69.2       202
+#   never      18.9    12.7      311       212
+DECODE_SHIFT = 11
+
+
+def min_black_filter(codes, guess):
+    """Smallest black count any code of the `CodeSet` `codes` scores against
+    `guess`, as a plain int, plus the `CodeSet` of the codes that score
+    exactly that.  Raises on an empty set.
+
+    A set of at most a 2**-DECODE_SHIFT share of its board, or one already
+    decoded, is counted code by code, and the survivors keep their codes.  A
+    larger set is counted by mask: each position's hit mask, restricted to
+    the set, holds the codes that agree with the guess there.  When those
+    masks do not cover the whole set, the answer is 0 and the uncovered codes
+    survive.
+    Otherwise the masks are added into a bit-sliced counter, whose plane j
+    holds bit j of each code's count, and the smallest count is read from the
+    top plane down: at each plane, the codes with a 0 bit, if any, are the
+    ones that can still be smallest."""
+    if not len(codes):
+        raise ValueError("empty code set")
+    board, live = codes.board, codes.mask
+    if live is None or len(codes) <= board.size >> DECODE_SHIFT:
+        members = list(codes)
+        counts = [sum(map(eq, code, guess)) for code in members]
+        best = min(counts)
+        kept = [code for code, count in zip(members, counts) if count == best]
+        return best, CodeSet(board, codes=kept)
+    hits = [board.hits(w, c) & live for w, c in enumerate(guess)]
+    covered = 0
+    for hit in hits:
+        covered |= hit
+    if covered != live:
+        return 0, CodeSet(board, mask=live ^ covered)
+    planes = []
+    for carry in hits:
+        for j, plane in enumerate(planes):
+            planes[j] = plane ^ carry
+            carry &= plane
+            if not carry:
+                break
+        else:
+            planes.append(carry)
+    best = 0
+    for j in reversed(range(len(planes))):
+        low = live & ~planes[j]
+        if low:
+            live = low
+        else:
+            best |= 1 << j
+    return best, CodeSet(board, mask=live)
 
 
 def black_row(codes, guess):

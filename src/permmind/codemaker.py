@@ -104,24 +104,22 @@ class AdversaryCodemaker(CodemakerOracle):
 
     Keeps the feasible set explicitly, so nothing it says is ever a lie about
     every remaining secret, and the game cannot end until the set is a
-    singleton (only then can an answer reach n).  The set is an (N, n) numpy
-    matrix of codes in lexicographic order, stored column by column
-    (`_kernel.code_matrix`): n bytes per code while k <= 255.  Each answer
-    filters it in place (`_kernel.min_black_filter`), so `feasible` is a
-    view of the first rows of the one buffer built at the start, and the
-    rows of that buffer past it are unspecified; a caller that keeps a set
-    across later answers must copy it.
+    singleton (only then can an answer reach n).  The set is a
+    `_kernel.CodeSet` of the board's codes in lexicographic order: a bit per
+    code while many remain, the codes themselves once few do.  Each answer
+    replaces it with the set of the codes scoring the answer
+    (`_kernel.min_black_filter`) and changes no earlier set.
     """
 
     def __init__(self, config: GameConfig, max_states: int | None = None):
         _check_capacity(config, max_states, "adversary play")
         super().__init__(config)
-        self.feasible = _kernel.code_matrix(config.n, config.k)
+        self.feasible = _kernel.code_set(config.n, config.k)
 
     def _respond(self, guess: tuple) -> int:
         """The smallest black count in the feasible set; the codes scoring it
         become the new set.  The set never empties: the filter keeps at
-        least one row of a non-empty matrix."""
+        least one code of a non-empty set."""
         count, self.feasible = _kernel.min_black_filter(self.feasible, guess)
         return count
 
@@ -205,7 +203,7 @@ def verify_lower_bound_play(
     """
     oracle = AdversaryCodemaker(config, max_states=max_states)
     secret, _ = solver(oracle, config)
-    if len(oracle.feasible) != 1 or tuple(map(int, oracle.feasible[0])) != secret:
+    if len(oracle.feasible) != 1 or oracle.feasible[0] != secret:
         raise InconsistentOracleError(
             "game ended before the feasible set was a verified singleton"
         )

@@ -1,10 +1,13 @@
 """Oracles, the adversarial codemaker, and secret adaption."""
 
+import math
 import random
 import tracemalloc
 from itertools import repeat
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from permmind import (
     AdversaryCodemaker,
@@ -26,6 +29,7 @@ from permmind import (
     validate_code,
     verify_lower_bound_play,
 )
+from permmind import _kernel
 from permmind._kernel import black_count
 from util import make_same_colors_instance, make_spare_colors_instance
 
@@ -99,6 +103,14 @@ class _TupleAdversary(CodemakerOracle):
         return best
 
 
+@st.composite
+def small_boards(draw):
+    """A board of at most 720 codes."""
+    k = draw(st.integers(min_value=2, max_value=27))
+    n = draw(st.integers(min_value=2, max_value=k).filter(lambda n: math.perm(k, n) <= 720))
+    return GameConfig(n, k)
+
+
 class TestAdversary:
     def test_three_hole_game_trace(self):
         config = GameConfig(3, 3)
@@ -147,37 +159,17 @@ class TestAdversary:
 
     @pytest.mark.parametrize("n,k", [(4, 4), (4, 6), (2, 300)])
     def test_wide_colors_play_like_the_tuple_reference(self, n, k):
-        # square, narrow-wide, and k > 255, which stores the codes as uint16
+        # square, narrow-wide, and 300 colors, whose 89,700 codes are held
+        # by mask until the last few dozen are decoded
         config = GameConfig(n, k)
         _, played = solve(AdversaryCodemaker(config), config)
         _, expected = solve(_TupleAdversary(config), config)
         assert played.events == expected.events
 
-    def test_feasible_set_stays_column_major(self):
-        # every filter counts contiguous columns only while each column of the
-        # set stays contiguous
-        layouts = []
-
-        def contiguous_columns(matrix):
-            return matrix.strides[0] == matrix.itemsize
-
-        class Watched(AdversaryCodemaker):
-            def _respond(self, guess):
-                count = super()._respond(guess)
-                layouts.append(contiguous_columns(self.feasible))
-                return count
-
-        config = GameConfig(5, 6)
-        oracle = Watched(config)
-        assert contiguous_columns(oracle.feasible)
-        solve(oracle, config)
-        assert layouts and all(layouts)
-
     @pytest.mark.parametrize("n,k", [(9, 9), (6, 12)])
     def test_first_answer_filters_in_place(self, n, k):
-        # the first answer scans every code: a count and a mask byte per code
-        # and one chunk of scratch beside the matrix, never a survivor copy or
-        # 8-byte indices per survivor
+        # the first answer scans every code: n hit masks and a few more
+        # masks of a bit per code, never a copy of the codes
         config = GameConfig(n, k)
         tracemalloc.start()
         try:
@@ -189,6 +181,35 @@ class TestAdversary:
         finally:
             tracemalloc.stop()
         assert added <= 3 * injective_code_count(config) + 2**20
+
+    @pytest.mark.parametrize("n,k", [(9, 9), (6, 12)])
+    def test_whole_game_peaks_under_4_bytes_per_code(self, n, k):
+        # the board's set, the sub-boards' cached hit masks and one answer's
+        # masks, a bit per code each, never a byte per code per hole
+        config = GameConfig(n, k)
+        tracemalloc.start()
+        try:
+            verify_lower_bound_play(config)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * injective_code_count(config)
+
+    @given(small_boards(), st.sampled_from([0, 4, _kernel.DECODE_SHIFT]), st.data())
+    @settings(deadline=None)
+    def test_random_guesses_answer_like_the_tuple_reference(self, config, shift, data):
+        # answer by answer, the count and the whole feasible set in order;
+        # shift 0 decodes the board at the first answer, 4 partway through
+        oracle, reference = AdversaryCodemaker(config), _TupleAdversary(config)
+        colors = range(1, config.k + 1)
+        guesses = data.draw(st.lists(st.permutations(colors), min_size=1, max_size=12))
+        with mock.patch.object(_kernel, "DECODE_SHIFT", shift):
+            for guess in guesses:
+                guess = tuple(guess[: config.n])
+                assert oracle.answer(guess) == reference.answer(guess)
+                assert list(oracle.feasible) == reference.feasible
+                if len(reference.feasible) == 1:
+                    break
 
     @pytest.mark.parametrize("n,k,queries", [(9, 9, 37), (6, 12, 23)])
     def test_large_board_lower_bound_play(self, n, k, queries):

@@ -1,16 +1,14 @@
 """Counting kernels: the run count and the board-wide kernels agree with
-`black_count` member by member, and the code matrix with `all_injective_codes`
-row by row."""
+`black_count` member by member, and a board's code set with
+`all_injective_codes` code by code."""
 
 import os
 import subprocess
 import sys
 import random
-import tracemalloc
 from pathlib import Path
 from unittest import mock
 
-import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
@@ -18,9 +16,10 @@ import permmind
 from permmind import OPEN, GameConfig, all_injective_codes
 from permmind import _kernel
 from permmind._kernel import (
+    CodeSet,
     black_count,
     black_row,
-    code_matrix,
+    code_set,
     min_black_filter,
     partial_match_count,
     partition_by_black,
@@ -64,53 +63,87 @@ def test_partial_match_count_ignores_open_positions(drawn, data):
         ]
 
 
-@given(codes_and_guess(), st.sampled_from("CF"), st.sampled_from([1, 2, 3, 5, 2**16]))
-def test_min_black_filter_agrees_with_black_count(drawn, order, chunk):
-    # the adversary's matrices are column-major; a row-major one filters the
-    # same, and the survivors of a column-major one keep each column
-    # contiguous.  Tiny chunks walk every case: chunks kept whole before and
-    # after the first dropped row, emptied chunks, chunks moved part by part
-    members, guess = drawn
+def _mask(indices, size):
+    """The int whose bit i is set for each i in `indices`, all below `size`."""
+    bits = ["0"] * size
+    for i in indices:
+        bits[i] = "1"
+    return int("".join(reversed(bits)), 2)
+
+
+@st.composite
+def live_sets(draw):
+    """A nonempty set of the codes of a board of at most 720 codes, as a
+    `CodeSet` and as a list, and a guess.  The codes score at least a drawn
+    floor against the guess, so that square boards reach counts of 2 and
+    more."""
+    k = draw(st.integers(min_value=2, max_value=6))
+    n = draw(st.integers(min_value=2, max_value=k))
+    codes = list(all_injective_codes(GameConfig(n, k)))
+    guess = tuple(draw(st.permutations(range(1, k + 1)))[:n])
+    floor = draw(st.integers(min_value=0, max_value=n))
+    # never empty: the guess is a code of the board
+    eligible = [i for i, code in enumerate(codes) if black_count(code, guess) >= floor]
+    chosen = draw(st.lists(st.sampled_from(eligible), min_size=1, unique=True))
+    live = CodeSet(code_set(n, k).board, mask=_mask(chosen, len(codes)))
+    return live, [codes[i] for i in sorted(chosen)], guess
+
+
+@given(live_sets(), st.sampled_from([0, 64]))
+def test_min_black_filter_agrees_with_black_count(drawn, shift):
+    # shift 0 decodes every set, 64 counts every one by mask
+    live, members, guess = drawn
     counts = [black_count(m, guess) for m in members]
     best = min(counts)
-    with mock.patch.object(_kernel, "FILTER_CHUNK", chunk):
-        count, survivors = min_black_filter(np.array(members, dtype=np.uint8, order=order), guess)
+    with mock.patch.object(_kernel, "DECODE_SHIFT", shift):
+        count, survivors = min_black_filter(live, guess)
     assert type(count) is int
     assert count == best
-    assert [tuple(row) for row in survivors.tolist()] == [
-        m for m, c in zip(members, counts) if c == best
-    ]
-    if order == "F":
-        assert survivors.strides[0] == survivors.itemsize
+    assert list(survivors) == [m for m, c in zip(members, counts) if c == best]
+    assert len(survivors) == counts.count(best)
+    assert list(live) == members  # the input set is left as it was
 
 
-def _reference_filter(matrix, guess):
-    """The minimum count and its rows in input order, counted column-wise on
-    a separate array."""
-    counts = (matrix == np.array(guess, dtype=matrix.dtype)).sum(axis=1)
-    best = counts.min()
-    return int(best), matrix[counts == best]
-
-
-@pytest.mark.parametrize("n,k,order", [(9, 9, "F"), (9, 9, "C"), (2, 300, "F")])
-def test_min_black_filter_compacts_in_place_across_chunks(n, k, order):
-    # more rows than one chunk, filtered guess after guess, so later filters
-    # run on the compacted views earlier ones returned
-    matrix = np.asarray(code_matrix(n, k), order=order)
-    assert len(matrix) > _kernel.FILTER_CHUNK
-    reference = matrix.copy()
+@pytest.mark.parametrize(
+    "n,k,guesses,decoded",
+    [(9, 9, 40, {False, True}), (2, 300, 8, {False})],
+    ids=["9-9", "2-300"],
+)
+def test_min_black_filter_guess_after_guess(n, k, guesses, decoded):
+    # the filter's own sets, guess after guess, against the codes filtered
+    # one by one: on (9,9) from the whole board by mask to a decoded
+    # singleton, on (2,300) a few answers on sets of about 89,000 codes
+    codes = list(all_injective_codes(GameConfig(n, k)))
+    reference = range(len(codes))
+    live = code_set(n, k)
     rng = random.Random(n * k)
-    live = matrix
-    for _ in range(4):
+    forms = set()
+    for _ in range(guesses):
+        if len(reference) == 1:
+            break
         guess = tuple(rng.sample(range(1, k + 1), n))
+        counts = [black_count(codes[i], guess) for i in reference]
+        best = min(counts)
+        reference = [i for i, c in zip(reference, counts) if c == best]
         count, live = min_black_filter(live, guess)
-        best, reference = _reference_filter(reference, guess)
+        forms.add(live.mask is None)
         assert count == best
-        assert np.array_equal(live, reference)
-        assert np.shares_memory(live, matrix)
-        if order == "F":
-            assert live.strides[0] == live.itemsize
-    assert len(live) < len(matrix)
+        assert len(live) == len(reference)
+        if live.mask is None:
+            assert live.codes == [codes[i] for i in reference]
+        else:
+            assert live.mask == _mask(reference, len(codes))
+    assert forms == decoded
+
+
+@pytest.mark.parametrize("n,k", [(2, 2), (3, 5), (4, 4), (5, 5), (3, 7), (4, 6)])
+def test_hit_masks_agree_with_the_codes(n, k):
+    codes = list(all_injective_codes(GameConfig(n, k)))
+    board = code_set(n, k).board
+    for w in range(n):
+        for c in range(1, k + 1):
+            expected = _mask((i for i, code in enumerate(codes) if code[w] == c), len(codes))
+            assert board.hits(w, c) == expected
 
 
 @given(codes_and_guess())
@@ -142,8 +175,10 @@ def test_black_count_is_an_int(b, count):
 
 
 def test_empty_filter_raises():
-    with pytest.raises(ValueError):
-        min_black_filter(np.empty((0, 3), dtype=np.uint8), (1, 2, 3))
+    board = code_set(3, 3).board
+    for empty in (CodeSet(board, mask=0), CodeSet(board, codes=[])):
+        with pytest.raises(ValueError):
+            min_black_filter(empty, (1, 2, 3))
 
 
 def test_accepts_lists_too():
@@ -151,8 +186,10 @@ def test_accepts_lists_too():
     # rotation 1 is (1, 2, 3), which agrees with the partial at position 2
     assert rotation_profile([0, 2, 0], 3) == {1: [2]}
     assert partial_match_count(rotation_profile([0, 2, 0], 3), [1, 1, 3]) == 1
-    count, survivors = min_black_filter(np.array([[1, 2, 3], [3, 2, 1]]), [1, 3, 2])
-    assert (count, survivors.tolist()) == (0, [[3, 2, 1]])
+    # (1, 2, 3) and (3, 2, 1) are the first and last codes of the board
+    live = CodeSet(code_set(3, 3).board, mask=0b100001)
+    count, survivors = min_black_filter(live, [1, 3, 2])
+    assert (count, list(survivors)) == (0, [(3, 2, 1)])
     row = black_row([[1, 2, 3], [3, 2, 1]], [1, 3, 2])
     assert row == bytes([1, 0])
     assert partition_by_black([1, 0], row) == {0: [1], 1: [0]}
@@ -160,41 +197,18 @@ def test_accepts_lists_too():
 
 @pytest.mark.parametrize("n,k", [(2, 2), (3, 5), (4, 4), (5, 5), (3, 7), (2, 300)])
 def test_code_matrix_rows_are_the_permutations_in_order(n, k):
-    matrix = code_matrix(n, k)
-    assert matrix.dtype == (np.uint8 if k < 256 else np.uint16)
-    assert matrix.flags.f_contiguous
+    # the whole board's set, read code by code, and code by index
+    codes = code_set(n, k)
     expected = list(all_injective_codes(GameConfig(n, k)))
-    assert [tuple(row) for row in matrix.tolist()] == expected
-
-
-def _build_peak(n, k):
-    """Peak traced memory of building the (n, k) code matrix, in matrix sizes."""
-    tracemalloc.start()
-    try:
-        matrix = code_matrix(n, k)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    return peak / matrix.nbytes
-
-
-def test_code_matrix_builds_in_place():
-    # one allocation for the matrix, plus about two of its columns of scratch
-    assert _build_peak(9, 9) <= 1.5
-
-
-def test_code_matrix_columns_are_written_without_a_copy():
-    # on a wide board the scratch is little more than the last `unused`, one
-    # column in six here; a copy of it made for the write would reach 1.33
-    assert _build_peak(6, 12) <= 1.25
+    assert len(codes) == len(expected)
+    assert list(codes) == expected
+    assert [codes[0], codes[-1]] == [expected[0], expected[-1]]
 
 
 def _fresh_python(probe):
-    """stdout of `probe` run by a new interpreter that imports this permmind,
-    with OPENBLAS_NUM_THREADS unset."""
+    """stdout of `probe` run by a new interpreter that imports this permmind."""
     src = Path(permmind.__file__).resolve().parent.parent
-    env = {key: value for key, value in os.environ.items() if key != "OPENBLAS_NUM_THREADS"}
-    env["PYTHONPATH"] = str(src)
+    env = dict(os.environ, PYTHONPATH=str(src))
     result = subprocess.run(
         [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
     )
@@ -202,17 +216,13 @@ def _fresh_python(probe):
 
 
 def test_importing_permmind_loads_no_numpy():
-    # numpy is imported inside the adversary's kernels only, so commands that
-    # never play the adversary do not pay for loading it
-    probe = "import sys, permmind, permmind.cli; print('numpy' in sys.modules)"
-    assert _fresh_python(probe) == "False\n"
-
-
-def test_loading_numpy_starts_no_blas_threads():
-    # OpenBLAS would start a busy-waiting worker thread per further CPU; the
-    # kernels use no BLAS, and the environment is left as it was found
+    # the kernels are the standard library alone: not even playing the
+    # adversary, from Python or from the command line, loads numpy
     probe = (
-        "import os; from permmind._kernel import code_matrix; code_matrix(2, 3); "
-        "print(len(os.listdir('/proc/self/task')), 'OPENBLAS_NUM_THREADS' in os.environ)"
+        "import contextlib, io, sys, permmind, permmind.cli\n"
+        "permmind.verify_lower_bound_play(permmind.GameConfig(5, 6))\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    assert permmind.cli.main(['adversary', '--n', '6']) == 0\n"
+        "print('numpy' in sys.modules)"
     )
-    assert _fresh_python(probe) == "1 False\n"
+    assert _fresh_python(probe) == "False\n"
