@@ -113,15 +113,19 @@ class _Board:
 
 
 def _repeat(block, width, count):
-    """`count` copies of a `width`-bit block side by side, by doubling."""
+    """`count` copies of a `width`-bit block side by side, by doubling.  The
+    block stops doubling once no higher bit of `count` needs it: that last
+    doubling would build an int of up to twice the result's bits, all of it
+    thrown away."""
     out = 0
-    while count:
+    while True:
         if count & 1:
             out = out << width | block
+        count >>= 1
+        if not count:
+            return out
         block |= block << width
         width *= 2
-        count >>= 1
-    return out
 
 
 # Each byte value's flag: 1 when any of its bits is set.

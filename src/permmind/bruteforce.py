@@ -12,7 +12,6 @@ solver achieves.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from itertools import chain, permutations
 from operator import itemgetter
 
@@ -52,18 +51,23 @@ def check_transcript(transcript: Transcript, secret=None) -> int | None:
         bad = first_miscount(events, secret, config)
         if bad is not None:
             return bad
-    # a spliced rotation of the board is recognised by its runs alone
-    if len(events) >= k and all(
-        (
-            type(ev.guess) is Splice
-            and (ev.guess.config is config or ev.guess.config == config)
-            and ev.guess.runs == (j, 1, n)
+    # the sum is the cheap test: only a sum other than n needs the opening
+    # recognised as rotations 1..k, a spliced one by its runs alone
+    opening = events[:k]
+    if (
+        len(opening) == k
+        and sum(ev.black for ev in opening) != n
+        and all(
+            (
+                type(ev.guess) is Splice
+                and (ev.guess.config is config or ev.guess.config == config)
+                and ev.guess.runs == (j, 1, n)
+            )
+            or ev.guess == config.rotation(j)
+            for j, ev in enumerate(opening, start=1)
         )
-        or ev.guess == config.rotation(j)
-        for j, ev in enumerate(events[:k], start=1)
     ):
-        if sum(ev.black for ev in events[:k]) != n:
-            return k - 1
+        return k - 1
     return None
 
 
@@ -82,17 +86,52 @@ def audit_game(secret, recovered, transcript: Transcript, queries: int) -> list[
     return failures
 
 
-@dataclass
 class VerificationReport:
     """Outcome of replaying the solver against every secret of one board."""
 
-    config: GameConfig
-    total: int
-    bound: int
-    max_queries: int = 0
-    query_histogram: dict[int, int] = field(default_factory=dict)
-    failures: list[tuple] = field(default_factory=list)
-    terminal_swaps: int = 0
+    def __init__(
+        self,
+        config: GameConfig,
+        total: int,
+        bound: int,
+        max_queries: int = 0,
+        query_histogram: dict[int, int] | None = None,
+        failures: list[tuple] | None = None,
+        terminal_swaps: int = 0,
+    ):
+        self.config = config
+        self.total = total
+        self.bound = bound
+        self.max_queries = max_queries
+        self.query_histogram = {} if query_histogram is None else query_histogram
+        self.failures = [] if failures is None else failures
+        self.terminal_swaps = terminal_swaps
+
+    def _fields(self) -> tuple:
+        return (
+            self.config,
+            self.total,
+            self.bound,
+            self.max_queries,
+            self.query_histogram,
+            self.failures,
+            self.terminal_swaps,
+        )
+
+    def __eq__(self, other):
+        if type(other) is VerificationReport:
+            return self._fields() == other._fields()
+        return NotImplemented
+
+    __hash__ = None
+
+    def __repr__(self):
+        return (
+            f"VerificationReport(config={self.config!r}, total={self.total!r}, "
+            f"bound={self.bound!r}, max_queries={self.max_queries!r}, "
+            f"query_histogram={self.query_histogram!r}, failures={self.failures!r}, "
+            f"terminal_swaps={self.terminal_swaps!r})"
+        )
 
     @property
     def ok(self) -> bool:

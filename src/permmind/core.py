@@ -8,6 +8,8 @@ secret hold the same color.
 The rotations sigma^1..sigma^k are the right circular shifts of (1, 2, ..., k)
 truncated to the first n entries: sigma^j holds color ((i - j) mod k) + 1 at
 position i; `GameConfig.rotation(j)` slices it from one doubled cycle.
+The config caches that cycle, and its palette, in its instance dict, outside
+its equality, hashing and pickling.
 Across the k rotations every color appears exactly once at every position,
 which forces their black counts against any fixed secret to sum to exactly n.
 That identity lets the solver buy the last rotation's count for free and is
@@ -31,7 +33,6 @@ a plain tuple and takes the plain paths.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields
 from functools import cached_property
 from itertools import chain
 
@@ -60,28 +61,53 @@ class CapacityError(RuntimeError):
     is too large to play (`solver.check_board`)."""
 
 
-@dataclass(frozen=True)
 class GameConfig:
-    """Board shape: n holes and k colors, exact ints with 2 <= n <= k."""
+    """Board shape: n holes and k colors, exact ints with 2 <= n <= k.
 
-    n: int
-    k: int
+    Immutable: equality, hashing, `repr` and pickling see (n, k) alone.  The
+    cached `palette` and `cycle` live in the instance dict, outside all four,
+    so a config that has built them equals, hashes and pickles like one that
+    has not.
+    """
 
-    def __post_init__(self):
-        for name, size in (("n", self.n), ("k", self.k)):
+    __slots__ = ("n", "k", "__dict__")
+
+    def __init__(self, n: int, k: int):
+        for name, size in (("n", n), ("k", k)):
             if type(size) is not int:  # bools, floats and strings are not sizes
                 raise ValueError(f"{name} must be an int, got {size!r}")
-        if self.n < 2:
-            raise ValueError(f"need at least 2 holes, got n={self.n}")
-        if self.k < self.n:
-            raise ValueError(
-                f"need at least as many colors as holes, got n={self.n}, k={self.k}"
-            )
+        if n < 2:
+            raise ValueError(f"need at least 2 holes, got n={n}")
+        if k < n:
+            raise ValueError(f"need at least as many colors as holes, got n={n}, k={k}")
+        _set_config_n(self, n)
+        _set_config_k(self, k)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"GameConfig is immutable: cannot set {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"GameConfig is immutable: cannot delete {name!r}")
+
+    def __eq__(self, other):
+        if type(other) is GameConfig:
+            return self.n == other.n and self.k == other.k
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.n, self.k))
+
+    def __repr__(self):
+        return f"GameConfig(n={self.n}, k={self.k})"
+
+    def __reduce__(self):
+        # the sizes only, never the cached palette or cycle
+        return GameConfig, (self.n, self.k)
 
     @cached_property
     def palette(self) -> frozenset:
-        """The colors 1..k, cached on the instance.  It is not a field, so
-        equality, hashing and `repr` ignore it."""
+        """The colors 1..k, cached in the instance dict: equality, hashing,
+        `repr` and pickling ignore it."""
         return frozenset(range(1, self.k + 1))
 
     @cached_property
@@ -95,9 +121,11 @@ class GameConfig:
         start = (1 - j) % self.k
         return self.cycle[start : start + self.n]
 
-    def __getstate__(self):
-        # pickle the fields only, never the cached palette or cycle
-        return {f.name: getattr(self, f.name) for f in fields(self)}
+
+# An immutable class's `__setattr__` raises, so its constructor sets each
+# slot through the slot's own descriptor, bound once here.
+_set_config_n = GameConfig.n.__set__
+_set_config_k = GameConfig.k.__set__
 
 
 def validate_code(code, config: GameConfig) -> None:
@@ -195,9 +223,9 @@ class Splice:
                 end = b
         if len(runs) % 3 or end != config.n:
             raise ValueError(f"runs {runs} do not tile positions 1..{config.n}")
-        object.__setattr__(self, "config", config)
-        object.__setattr__(self, "runs", kept)
-        object.__setattr__(self, "injective", _arcs_disjoint(arcs, k))
+        _set_splice_config(self, config)
+        _set_splice_runs(self, kept)
+        _set_splice_injective(self, _arcs_disjoint(arcs, k))
 
     def __setattr__(self, name, value):
         raise AttributeError(f"Splice is immutable: cannot set {name!r}")
@@ -228,6 +256,12 @@ class Splice:
         return Splice, (self.config, self.runs)
 
 
+# bound once, as for `GameConfig`
+_set_splice_config = Splice.config.__set__
+_set_splice_runs = Splice.runs.__set__
+_set_splice_injective = Splice.injective.__set__
+
+
 def _arcs(runs, k: int) -> list:
     """The color arc of each run (j, a, b), as (start, length): b - a + 1
     consecutive colors of the k-cycle, from color index (a - j) mod k."""
@@ -249,19 +283,37 @@ def _arcs_disjoint(arcs, k: int) -> bool:
     return True
 
 
-@dataclass(slots=True)
 class TranscriptEvent:
     """One recorded fact: a code and its black count.
 
     The code is a tuple, or the `Splice` that was asked, kept as its runs.
     Queried events were answered by the codemaker; derived events were priced
     without spending a guess (the rotation sum, or the zero counts that
-    follow once a rotation has pinned the secret down).
+    follow once a rotation has pinned the secret down).  Events compare by
+    their three fields and are unhashable, since a transcript may edit them.
     """
 
-    guess: tuple
-    black: int
-    derived: bool = False
+    __slots__ = ("guess", "black", "derived")
+
+    def __init__(self, guess, black: int, derived: bool = False):
+        self.guess = guess
+        self.black = black
+        self.derived = derived
+
+    def __eq__(self, other):
+        if type(other) is TranscriptEvent:
+            return (self.guess, self.black, self.derived) == (
+                other.guess, other.black, other.derived
+            )
+        return NotImplemented
+
+    __hash__ = None
+
+    def __repr__(self):
+        return (
+            f"TranscriptEvent(guess={self.guess!r}, black={self.black!r}, "
+            f"derived={self.derived!r})"
+        )
 
 
 def first_miscount(events, code, config: GameConfig) -> int | None:
@@ -288,13 +340,25 @@ def first_miscount(events, code, config: GameConfig) -> int | None:
     return None
 
 
-@dataclass
 class Transcript:
     """Ordered audit trail of one game."""
 
-    config: GameConfig
-    events: list = field(default_factory=list)
-    notes: list[tuple] = field(default_factory=list)
+    def __init__(self, config: GameConfig, events: list | None = None, notes: list | None = None):
+        self.config = config
+        self.events = [] if events is None else events
+        self.notes = [] if notes is None else notes
+
+    def __eq__(self, other):
+        if type(other) is Transcript:
+            return (self.config, self.events, self.notes) == (
+                other.config, other.events, other.notes
+            )
+        return NotImplemented
+
+    __hash__ = None
+
+    def __repr__(self):
+        return f"Transcript(config={self.config!r}, events={self.events!r}, notes={self.notes!r})"
 
     def record(self, guess, count: int, derived: bool = False):
         """Append and return an event holding the guess: a `Splice` as it

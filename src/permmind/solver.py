@@ -38,7 +38,6 @@ from __future__ import annotations
 import itertools
 from abc import ABC, abstractmethod
 from bisect import insort
-from dataclasses import dataclass, field
 
 from ._kernel import partial_match_count
 from .core import (
@@ -107,7 +106,6 @@ class CodemakerOracle(ABC):
         """Return the black count for a validated guess."""
 
 
-@dataclass
 class SolverState:
     """Everything the codebreaker knows mid-game.
 
@@ -121,15 +119,55 @@ class SolverState:
     resumes.
     """
 
-    config: GameConfig
-    oracle: CodemakerOracle
-    partial: list[int]
-    v: list[int] = field(default_factory=list)
-    solved_secret: tuple | None = None
-    fixed: dict[int, list[int]] = field(default_factory=dict)
-    placed: set[int] = field(default_factory=set)
-    pivot: int | None = None
-    scan_from: int = 1
+    def __init__(
+        self,
+        config: GameConfig,
+        oracle: CodemakerOracle,
+        partial: list[int],
+        v: list[int] | None = None,
+        solved_secret: tuple | None = None,
+        fixed: dict[int, list[int]] | None = None,
+        placed: set[int] | None = None,
+        pivot: int | None = None,
+        scan_from: int = 1,
+    ):
+        self.config = config
+        self.oracle = oracle
+        self.partial = partial
+        self.v = [] if v is None else v
+        self.solved_secret = solved_secret
+        self.fixed = {} if fixed is None else fixed
+        self.placed = set() if placed is None else placed
+        self.pivot = pivot
+        self.scan_from = scan_from
+
+    def _fields(self) -> tuple:
+        return (
+            self.config,
+            self.oracle,
+            self.partial,
+            self.v,
+            self.solved_secret,
+            self.fixed,
+            self.placed,
+            self.pivot,
+            self.scan_from,
+        )
+
+    def __eq__(self, other):
+        if type(other) is SolverState:
+            return self._fields() == other._fields()
+        return NotImplemented
+
+    __hash__ = None
+
+    def __repr__(self):
+        return (
+            f"SolverState(config={self.config!r}, oracle={self.oracle!r}, "
+            f"partial={self.partial!r}, v={self.v!r}, solved_secret={self.solved_secret!r}, "
+            f"fixed={self.fixed!r}, placed={self.placed!r}, pivot={self.pivot!r}, "
+            f"scan_from={self.scan_from!r})"
+        )
 
     @property
     def transcript(self) -> Transcript:

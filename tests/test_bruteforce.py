@@ -1,7 +1,6 @@
 """Exhaustive replay auditing and exact game-tree search."""
 
 import random
-from dataclasses import replace
 from itertools import permutations
 from math import factorial
 from pathlib import Path
@@ -15,6 +14,7 @@ from permmind import (
     StaticCodemaker,
     Transcript,
     TranscriptEvent,
+    VerificationReport,
     all_injective_codes,
     black,
     check_transcript,
@@ -49,7 +49,7 @@ def _played_games():
 
 
 def _miscounted(ev, n):
-    return replace(ev, black=(ev.black + 1) % (n + 1))
+    return TranscriptEvent(ev.guess, (ev.black + 1) % (n + 1), ev.derived)
 
 
 class TestCheckTranscript:
@@ -126,6 +126,20 @@ class TestCheckTranscript:
         with pytest.raises(ValueError, match=f"code length mismatch: {n} != {n - 1}"):
             check_transcript(transcript, secret[:-1])
 
+    def test_opening_verdicts(self):
+        # without a secret only the opening's rotation sum is audited
+        for _, transcript in _played_games():
+            config = transcript.config
+            assert check_transcript(transcript) is None  # a clean game
+            events = transcript.events
+            events[1] = _miscounted(events[1], config.n)  # the sum is no longer n
+            assert check_transcript(transcript) == config.k - 1
+            short = Transcript(config, events[: config.k - 1])
+            assert check_transcript(short) is None  # no full opening
+            not_rotation_1 = tuple(reversed(config.rotation(1)))
+            events[0] = TranscriptEvent(not_rotation_1, events[0].black)
+            assert check_transcript(transcript) is None  # no rotation opening
+
     def test_no_family_no_sum_check(self):
         config = GameConfig(3, 3)
         transcript = Transcript(config)
@@ -155,6 +169,21 @@ class TestExhaustiveVerify:
     def test_capacity_guard(self):
         with pytest.raises(CapacityError):
             exhaustive_verify(GameConfig(4, 4), max_states=10)
+
+    def test_report_defaults(self):
+        config = GameConfig(3, 3)
+        report = VerificationReport(config=config, total=6, bound=5)
+        assert (report.config, report.total, report.bound) == (config, 6, 5)
+        assert (report.max_queries, report.query_histogram, report.failures) == (0, {}, [])
+        assert report.terminal_swaps == 0 and report.ok
+        assert report.summary() == "n=3 k=3: 6 secrets, max 0 queries, bound 5, ok"
+        assert report == VerificationReport(config, 6, 5, 0, {}, [], 0)
+        other = VerificationReport(config=config, total=6, bound=5)
+        assert other.query_histogram is not report.query_histogram
+        assert other.failures is not report.failures
+        report.failures.append(("wrong_secret", (1, 2, 3), (2, 1, 3)))
+        assert not report.ok and report != other
+        assert report.summary() == "n=3 k=3: 6 secrets, max 0 queries, bound 5, 1 FAILURES"
 
     def test_flags_wrong_recovery(self):
         def wrong_solver(oracle, config):

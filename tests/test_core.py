@@ -254,6 +254,31 @@ class TestGameConfig:
         with pytest.raises(ValueError, match="k must be an int, got 4.5"):
             GameConfig(4, 4.5)
 
+    def test_is_a_value_of_its_two_sizes(self):
+        config = GameConfig(n=7, k=9)
+        assert (config.n, config.k) == (7, 9)
+        assert config == GameConfig(7, 9) and hash(config) == hash(GameConfig(7, 9))
+        assert config != GameConfig(7, 8) and config != (7, 9)
+        assert repr(config) == "GameConfig(n=7, k=9)"
+
+    def test_is_immutable(self):
+        config = GameConfig(4, 5)
+        with pytest.raises(AttributeError):
+            config.n = 3
+        with pytest.raises(AttributeError):
+            del config.n
+        assert config.n == 4
+
+    @pytest.mark.parametrize("cached", [False, True], ids=["plain", "cached"])
+    def test_pickles_as_its_sizes(self, cached):
+        config = GameConfig(5, 6)
+        if cached:
+            assert config.cycle == (1, 2, 3, 4, 5, 6, 1, 2, 3, 4, 5, 6)
+        copied = pickle.loads(pickle.dumps(config))
+        assert type(copied) is GameConfig and copied == config
+        assert "cycle" not in vars(copied)
+        assert copied.rotation(2) == (6, 1, 2, 3, 4)
+
 
 class TestValidateCode:
     def test_accepts(self):
@@ -498,6 +523,14 @@ class TestTranscript:
         assert t.query_count == 1
         assert len(t.events) == 2
         assert [ev.guess for ev in t.queried_events()] == [(1, 2, 3)]
+
+    def test_event_repr_and_hash(self):
+        event = TranscriptEvent((1, 2, 3), 1)
+        assert repr(event) == "TranscriptEvent(guess=(1, 2, 3), black=1, derived=False)"
+        spliced = TranscriptEvent(Splice(GameConfig(3, 3), (1, 1, 3)), 3, True)
+        assert repr(spliced) == "TranscriptEvent(guess=Splice(runs=(1, 1, 3)), black=3, derived=True)"
+        with pytest.raises(TypeError, match="unhashable type: 'TranscriptEvent'"):
+            hash(event)
 
     def test_rejects_out_of_range_count(self):
         t = Transcript(GameConfig(3, 3))

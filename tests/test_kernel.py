@@ -146,6 +146,13 @@ def test_hit_masks_agree_with_the_codes(n, k):
             assert board.hits(w, c) == expected
 
 
+@given(st.integers(1, 40), st.integers(0, 70), st.data())
+def test_repeat_lays_copies_side_by_side(width, count, data):
+    block = data.draw(st.integers(0, (1 << width) - 1))
+    expected = sum(block << (i * width) for i in range(count))
+    assert _kernel._repeat(block, width, count) == expected
+
+
 @given(codes_and_guess())
 def test_black_row_agrees_with_black_count(drawn):
     members, guess = drawn
@@ -226,3 +233,19 @@ def test_importing_permmind_loads_no_numpy():
         "print('numpy' in sys.modules)"
     )
     assert _fresh_python(probe) == "False\n"
+
+
+def test_importing_permmind_loads_no_dataclasses():
+    # the records are plain classes: importing permmind, playing, replaying
+    # a board and running the command line load neither `dataclasses` nor
+    # the `inspect` it pulls in
+    probe = (
+        "import contextlib, io, sys, permmind, permmind.cli\n"
+        "config = permmind.GameConfig(5, 6)\n"
+        "permmind.solve(permmind.StaticCodemaker((2, 4, 6, 1, 3), config), config)\n"
+        "assert permmind.exhaustive_verify(permmind.GameConfig(3, 3)).ok\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    assert permmind.cli.main(['solve', '--n', '8', '--seed', '1']) == 0\n"
+        "print('dataclasses' in sys.modules, 'inspect' in sys.modules)"
+    )
+    assert _fresh_python(probe) == "False False\n"

@@ -249,6 +249,22 @@ class TestInitialPhase:
         assert oracle.transcript.query_count == 0
 
 
+class TestSolverState:
+    def test_defaults_are_fresh_per_state(self):
+        config = GameConfig(4, 4)
+        oracle = StaticCodemaker((2, 1, 4, 3), config)
+        one, two = (SolverState(config, oracle, [OPEN] * 4) for _ in range(2))
+        assert (one.v, one.fixed, one.placed) == ([], {}, set())
+        assert (one.solved_secret, one.pivot, one.scan_from) == (None, None, 1)
+        assert one.v is not two.v and one.fixed is not two.fixed
+        assert one.placed is not two.placed
+        one.v.append(1)
+        one.fixed[1] = [2]
+        one.placed.add(3)
+        assert (two.v, two.fixed, two.placed) == ([], {}, set())
+        assert one != two and two == SolverState(config, oracle, [OPEN] * 4)
+
+
 class TestSelectActiveIndex:
     def _state_with_v(self, v, n=8):
         config = GameConfig(n, n)
