@@ -341,24 +341,15 @@ def first_miscount(events, code, config: GameConfig) -> int | None:
 
 
 class Transcript:
-    """Ordered audit trail of one game."""
+    """Ordered audit trail of one game on `config`, begun empty.
 
-    def __init__(self, config: GameConfig, events: list | None = None, notes: list | None = None):
+    A working record, compared by identity: compare its `events` to compare
+    two games."""
+
+    def __init__(self, config: GameConfig):
         self.config = config
-        self.events = [] if events is None else events
-        self.notes = [] if notes is None else notes
-
-    def __eq__(self, other):
-        if type(other) is Transcript:
-            return (self.config, self.events, self.notes) == (
-                other.config, other.events, other.notes
-            )
-        return NotImplemented
-
-    __hash__ = None
-
-    def __repr__(self):
-        return f"Transcript(config={self.config!r}, events={self.events!r}, notes={self.notes!r})"
+        self.events = []
+        self.notes = []
 
     def record(self, guess, count: int, derived: bool = False):
         """Append and return an event holding the guess: a `Splice` as it

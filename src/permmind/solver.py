@@ -117,57 +117,24 @@ class SolverState:
     `placed` the set of its colors and `pivot` the smallest of them, None
     until one is placed.  `scan_from` is where `select_active_index`
     resumes.
+
+    Built from the oracle alone, knowing nothing: every position OPEN, no
+    rotation counts, nothing solved.  `initial_phase` then fills in `v` and
+    `solved_secret`, so no caller can start from views of the fixed pegs
+    that disagree.  A working record, compared by identity.
     """
 
-    def __init__(
-        self,
-        config: GameConfig,
-        oracle: CodemakerOracle,
-        partial: list[int],
-        v: list[int] | None = None,
-        solved_secret: tuple | None = None,
-        fixed: dict[int, list[int]] | None = None,
-        placed: set[int] | None = None,
-        pivot: int | None = None,
-        scan_from: int = 1,
-    ):
+    def __init__(self, oracle: CodemakerOracle):
+        config = oracle.config
         self.config = config
         self.oracle = oracle
-        self.partial = partial
-        self.v = [] if v is None else v
-        self.solved_secret = solved_secret
-        self.fixed = {} if fixed is None else fixed
-        self.placed = set() if placed is None else placed
-        self.pivot = pivot
-        self.scan_from = scan_from
-
-    def _fields(self) -> tuple:
-        return (
-            self.config,
-            self.oracle,
-            self.partial,
-            self.v,
-            self.solved_secret,
-            self.fixed,
-            self.placed,
-            self.pivot,
-            self.scan_from,
-        )
-
-    def __eq__(self, other):
-        if type(other) is SolverState:
-            return self._fields() == other._fields()
-        return NotImplemented
-
-    __hash__ = None
-
-    def __repr__(self):
-        return (
-            f"SolverState(config={self.config!r}, oracle={self.oracle!r}, "
-            f"partial={self.partial!r}, v={self.v!r}, solved_secret={self.solved_secret!r}, "
-            f"fixed={self.fixed!r}, placed={self.placed!r}, pivot={self.pivot!r}, "
-            f"scan_from={self.scan_from!r})"
-        )
+        self.partial = [OPEN] * config.n
+        self.v = []
+        self.solved_secret = None
+        self.fixed = {}
+        self.placed = set()
+        self.pivot = None
+        self.scan_from = 1
 
     @property
     def transcript(self) -> Transcript:
@@ -236,16 +203,17 @@ def bound_enforced(config: GameConfig) -> bool:
 def initial_phase(oracle: CodemakerOracle) -> SolverState:
     """Query rotations 1..k-1 and derive the last count from the rotation sum.
 
-    If some rotation answers n the secret is that rotation: no other
-    rotation shares a color with it at any position, so the remaining counts
-    are derived as 0 instead of queried and the state comes back with
-    `solved_secret` set.  Raises CapacityError first on a board past
-    QUERY_LIMIT.
+    Plays on a fresh `SolverState(oracle)` and returns it with `v` set to
+    the k counts.  If some rotation answers n the secret is that rotation:
+    no other rotation shares a color with it at any position, so the
+    remaining counts are derived as 0 instead of queried and the state comes
+    back with `solved_secret` set.  Raises CapacityError first on a board
+    past QUERY_LIMIT.
     """
     config = oracle.config
     check_board(config)
     n, k = config.n, config.k
-    state = SolverState(config=config, oracle=oracle, partial=[OPEN] * n)
+    state = SolverState(oracle)
     ask = oracle.answer
     spliced = n >= SPLICE_MIN_HOLES
     secret = None

@@ -134,7 +134,8 @@ class TestCheckTranscript:
             events = transcript.events
             events[1] = _miscounted(events[1], config.n)  # the sum is no longer n
             assert check_transcript(transcript) == config.k - 1
-            short = Transcript(config, events[: config.k - 1])
+            short = Transcript(config)
+            short.events.extend(events[: config.k - 1])
             assert check_transcript(short) is None  # no full opening
             not_rotation_1 = tuple(reversed(config.rotation(1)))
             events[0] = TranscriptEvent(not_rotation_1, events[0].black)
@@ -172,18 +173,19 @@ class TestExhaustiveVerify:
 
     def test_report_defaults(self):
         config = GameConfig(3, 3)
-        report = VerificationReport(config=config, total=6, bound=5)
-        assert (report.config, report.total, report.bound) == (config, 6, 5)
+        report = VerificationReport(config)
+        assert (report.config, report.total, report.bound) == (config, 0, 6)
+        assert report.bound == query_bound(config)
+        assert VerificationReport(GameConfig(4, 6)).bound == query_bound(GameConfig(4, 6))
         assert (report.max_queries, report.query_histogram, report.failures) == (0, {}, [])
         assert report.terminal_swaps == 0 and report.ok
-        assert report.summary() == "n=3 k=3: 6 secrets, max 0 queries, bound 5, ok"
-        assert report == VerificationReport(config, 6, 5, 0, {}, [], 0)
-        other = VerificationReport(config=config, total=6, bound=5)
+        assert report.summary() == "n=3 k=3: 0 secrets, max 0 queries, bound 6, ok"
+        other = VerificationReport(config)
         assert other.query_histogram is not report.query_histogram
         assert other.failures is not report.failures
         report.failures.append(("wrong_secret", (1, 2, 3), (2, 1, 3)))
         assert not report.ok and report != other
-        assert report.summary() == "n=3 k=3: 6 secrets, max 0 queries, bound 5, 1 FAILURES"
+        assert report.summary() == "n=3 k=3: 0 secrets, max 0 queries, bound 6, 1 FAILURES"
 
     def test_flags_wrong_recovery(self):
         def wrong_solver(oracle, config):

@@ -253,22 +253,26 @@ class TestSolverState:
     def test_defaults_are_fresh_per_state(self):
         config = GameConfig(4, 4)
         oracle = StaticCodemaker((2, 1, 4, 3), config)
-        one, two = (SolverState(config, oracle, [OPEN] * 4) for _ in range(2))
+        one, two = (SolverState(oracle) for _ in range(2))
+        assert one.config == oracle.config and one.oracle is oracle
+        assert one.partial == [OPEN] * 4
         assert (one.v, one.fixed, one.placed) == ([], {}, set())
         assert (one.solved_secret, one.pivot, one.scan_from) == (None, None, 1)
+        assert one.partial is not two.partial
         assert one.v is not two.v and one.fixed is not two.fixed
         assert one.placed is not two.placed
+        one.partial[0] = 2
         one.v.append(1)
         one.fixed[1] = [2]
         one.placed.add(3)
+        assert two.partial == [OPEN] * 4
         assert (two.v, two.fixed, two.placed) == ([], {}, set())
-        assert one != two and two == SolverState(config, oracle, [OPEN] * 4)
 
 
 class TestSelectActiveIndex:
     def _state_with_v(self, v, n=8):
         config = GameConfig(n, n)
-        state = SolverState(config=config, oracle=StaticCodemaker(tuple(range(1, n + 1)), config), partial=[OPEN] * n)
+        state = SolverState(StaticCodemaker(tuple(range(1, n + 1)), config))
         state.v = list(v)
         return state
 
@@ -406,9 +410,7 @@ class TestFindFirstUniform:
         # every v == 1 is impossible on an even board, so the search raises
         # at once: the oracle has no answers to give
         config = GameConfig(n, n)
-        state = SolverState(
-            config=config, oracle=ScriptedOracle(config, []), partial=[OPEN] * n
-        )
+        state = SolverState(ScriptedOracle(config, []))
         state.v = [1] * n
         with pytest.raises(InconsistentOracleError):
             find_first_uniform(state)
