@@ -111,11 +111,10 @@ def replay(config: GameConfig, secrets, solver=solve) -> VerificationReport:
 
     Failures are collected, not raised, as audit_game reports them.  Apart
     from them the report keeps only counts (its `total`, the query
-    histogram, the games that needed the degenerate first/last swap in the
-    opening binary search), so a passing replay's memory does not grow with
-    the number of secrets.  `failures` does grow with every failing game; it
-    stays a full list because `perfbench/workloads.py` counts the failed
-    secrets from it.
+    histogram, the sum of the games' `Transcript.terminal_swaps`), so a
+    passing replay's memory does not grow with the number of secrets.
+    `failures` does grow with every failing game; it stays a full list
+    because `perfbench/workloads.py` counts the failed secrets from it.
     """
     report = VerificationReport(config)
     for secret in secrets:
@@ -126,9 +125,7 @@ def replay(config: GameConfig, secrets, solver=solve) -> VerificationReport:
         if queries > report.max_queries:
             report.max_queries = queries
         report.failures.extend(audit_game(secret, recovered, transcript, queries))
-        for note in transcript.notes:
-            if note[0] == "terminal_swap":
-                report.terminal_swaps += 1
+        report.terminal_swaps += transcript.terminal_swaps
     return report
 
 

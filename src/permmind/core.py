@@ -343,13 +343,14 @@ def first_miscount(events, code, config: GameConfig) -> int | None:
 class Transcript:
     """Ordered audit trail of one game on `config`, begun empty.
 
+    `terminal_swaps` counts `find_first`'s first/last swaps at l = n.
     A working record, compared by identity: compare its `events` to compare
     two games."""
 
     def __init__(self, config: GameConfig):
         self.config = config
         self.events = []
-        self.notes = []
+        self.terminal_swaps = 0
 
     def record(self, guess, count: int, derived: bool = False):
         """Append and return an event holding the guess: a `Splice` as it

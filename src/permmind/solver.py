@@ -274,8 +274,8 @@ def find_first(state: SolverState, j: int) -> int:
     the all-wrong successor rotation r over positions l..n and park r's first
     color on position l; a positive answer then proves a match inside the
     prefix of rotation j.  An answer of exactly 1 is ambiguous (the parked
-    color itself may sit correctly), so the parked peg is swapped with a peg
-    known to be wrong and the answer of that swap settles it.  Costs at most
+    color itself may sit correctly), so the parked peg is swapped with the
+    next position, cyclically, and that answer settles it.  Costs at most
     2*ceil(log2 n) queries.
     """
     config = state.config
@@ -286,26 +286,25 @@ def find_first(state: SolverState, j: int) -> int:
     ask = state.oracle.answer
 
     def in_prefix(l):
-        s = ask(rj[: l - 1] + (c,) + rr[l:])
+        guess = rj[: l - 1] + (c,) + rr[l:]
+        s = ask(guess)
         if s == 1:
-            if l < n:
-                swap = rj[:l] + (c,) + rr[l + 1 :]
-            else:
-                # Degenerate split: the guess above was rotation j itself,
-                # and the zero answer that moved a to n-1 left its one match
-                # at n-1 or n.  Swap its first and last pegs.  A match at
-                # n-1 stays, so the answer is positive.  A match at n means
-                # rj[n-1] == y_n, so rj[0] != y_n, and rj[n-1] != y_1: the
-                # answer is 0.
-                swap = (c,) + rj[1 : n - 1] + (rj[0],)
-                state.transcript.notes.append(("terminal_swap", j))
-            s = ask(swap)
+            # r's color at i + 1 is j's at i, so for l < n the swap parks c
+            # at l + 1.  At l = n the guess is rotation j itself, and the
+            # zero answer that moved a to n-1 left its one match at n-1 or
+            # n.  A match at n-1 survives the first/last swap, so the answer
+            # is positive.  A match at n means rj[n-1] == y_n, so
+            # rj[0] != y_n, and rj[n-1] != y_1: the answer is 0.
+            if l == n:
+                state.transcript.terminal_swaps += 1
+            s = ask(_swapped(guess, l, l % n + 1))
         return s > 0
 
     return _bisect(1, n, in_prefix)
 
 
 def _swapped(code: tuple, i: int, j: int) -> tuple:
+    """`code` with its pegs at positions i and j (1-based) exchanged."""
     out = list(code)
     out[i - 1], out[j - 1] = out[j - 1], out[i - 1]
     return tuple(out)

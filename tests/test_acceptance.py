@@ -66,16 +66,20 @@ def test_criterion_02_exhaustive_square_boards():
     """Every secret on n = k in 2..8 is solved within the budget, under 2 minutes."""
     started = time.perf_counter()
     maxima = {}
+    swaps = {}
     for n in range(2, 9):
         report = exhaustive_verify(GameConfig(n, n))
         assert report.ok, report.failures[:3]
         assert report.max_queries <= report.bound
         maxima[n] = (report.max_queries, report.bound)
+        swaps[n] = report.terminal_swaps
     elapsed = time.perf_counter() - started
     # the observed maxima the README table lists
     assert {n: worst for n, (worst, _) in maxima.items()} == {
         2: 2, 3: 5, 4: 10, 5: 15, 6: 22, 7: 28, 8: 34
     }
+    # the degenerate opening swaps `permmind exhaustive` prints
+    assert swaps == {2: 0, 3: 0, 4: 8, 5: 20, 6: 136, 7: 752, 8: 5586}
     assert elapsed < 120, f"took {elapsed:.1f}s"
     _report(f"criterion 2 PASS: square boards {maxima} in {elapsed:.1f}s")
 

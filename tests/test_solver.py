@@ -339,11 +339,11 @@ class TestFindFirst:
             ((4, 1, 2, 3), 2),  # swap settles it: the match is in the prefix
             ((4, 3, 1, 2), 0),
         ]
-        assert state.transcript.notes == []
+        assert state.transcript.terminal_swaps == 0
 
     def test_replay_degenerate_last_split(self):
         # y = (1,2,4,3): the split reaches l == n, whose guess is rotation 2
-        # itself; the first/last swap resolves it and leaves a note
+        # itself; the first/last swap resolves it and is counted
         state = state_for((1, 2, 4, 3))
         j, _ = select_active_index(state)
         assert j == 2
@@ -355,7 +355,7 @@ class TestFindFirst:
             ((4, 1, 2, 3), 1),
             ((3, 1, 2, 4), 0),
         ]
-        assert state.transcript.notes == [("terminal_swap", 2)]
+        assert state.transcript.terminal_swaps == 1
 
     def test_all_boards_find_a_true_component(self, monkeypatch):
         # wherever solve runs the opening search, the position it returns
@@ -820,7 +820,7 @@ class TestSplicedBoards:
             recovered, transcript = solve(StaticCodemaker(secret, config), config)
             assert recovered == secret
             assert transcript.events == expected.events
-            assert transcript.notes == expected.notes
+            assert transcript.terminal_swaps == expected.terminal_swaps
             assert type(transcript.events[0].guess) is Splice
 
     @pytest.mark.parametrize("n,k", BOARDS + [(65, 65), (100, 131)])
