@@ -11,8 +11,8 @@ search guess's fixed matches on the partial's profile, which
 `solver.apply_found_component` keeps up to date as pegs are fixed.
 `black_count` counts with `sum(map(eq, a, b))`.  Minimax works on code
 indices: `black_row` counts one guess against every code of a board and
-writes that same expression inline, only to save a call per code, as the
-adversary's filter does on a decoded set, and `partition_by_black` groups
+writes that same expression inline, only to save a call per code; the
+adversary's filter counts a decoded set with it.  `partition_by_black` groups
 the many small feasible sets of indices by such a row.  The adversary's
 kernels work on a `CodeSet`, a set of codes of one board numbered in
 lexicographic order: `code_set` holds a whole board, and `min_black_filter`
@@ -153,8 +153,8 @@ class CodeSet:
     """A set of codes of one board, held either as `mask`, an int whose bit
     i is set when the board's code i is in the set, or, once few codes are
     left, as `codes`, the codes themselves in lexicographic order.  A value:
-    nothing changes it after it is built.  `len`, indexing and iteration see
-    the codes as tuples, in lexicographic order."""
+    nothing changes it after it is built.  `len` and iteration see the codes
+    as tuples, in lexicographic order."""
 
     __slots__ = ("board", "mask", "codes", "_len")
 
@@ -171,11 +171,6 @@ class CodeSet:
         if self.codes is None:
             return map(self.board.code, _indices(self.mask))
         return iter(self.codes)
-
-    def __getitem__(self, i):
-        if self.codes is None:
-            return self.board.code(_indices(self.mask)[i])
-        return self.codes[i]
 
 
 def code_set(n, k):
@@ -219,7 +214,7 @@ def min_black_filter(codes, guess):
     board, live = codes.board, codes.mask
     if live is None or len(codes) <= board.size >> DECODE_SHIFT:
         members = list(codes)
-        counts = [sum(map(eq, code, guess)) for code in members]
+        counts = black_row(members, guess)
         best = min(counts)
         kept = [code for code, count in zip(members, counts) if count == best]
         return best, CodeSet(board, codes=kept)

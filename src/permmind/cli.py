@@ -76,7 +76,7 @@ _EVENT_JSON = (
 )
 
 
-def render_transcript_json(transcript: Transcript, secret=None):
+def render_transcript_json(transcript: Transcript, secret):
     """The transcript as one JSON document, yielded one event at a time.  The
     header is dumped once; each event is written through a fixed template,
     the same bytes the indenting encoder would give it."""
@@ -86,9 +86,8 @@ def render_transcript_json(transcript: Transcript, secret=None):
         "events": [],
         "queries": transcript.query_count,
         "bound": query_bound(transcript.config),
+        "secret": list(secret),
     }
-    if secret is not None:
-        header["secret"] = list(secret)
     head, tail = json.dumps(header, indent=2, sort_keys=True).split('"events": []')
     yield head + '"events": ['
     for idx, ev in enumerate(transcript.events):

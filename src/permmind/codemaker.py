@@ -30,7 +30,6 @@ from .core import (
     InconsistentOracleError,
     CapacityError,
     Splice,
-    black,
     validate_code,
 )
 from .solver import CodemakerOracle, solve
@@ -74,8 +73,8 @@ class StaticCodemaker(CodemakerOracle):
     """Honest oracle for a fixed secret.
 
     A `Splice` of the board is answered by run, two bisects each into the
-    secret's rotation profile, built at the first one; other guesses by a
-    scan.
+    secret's rotation profile, built at the first one; other guesses by
+    `_kernel.black_count`, since validation has matched their lengths.
     """
 
     def __init__(self, secret, config: GameConfig | None = None):
@@ -96,7 +95,7 @@ class StaticCodemaker(CodemakerOracle):
     def _respond(self, guess: tuple) -> int:
         if type(guess) is Splice and guess.config.k == self.config.k:
             return _kernel.partial_match_count(self.profile, guess.runs)
-        return black(guess, self.secret)
+        return _kernel.black_count(guess, self.secret)
 
 
 class AdversaryCodemaker(CodemakerOracle):
@@ -203,7 +202,7 @@ def verify_lower_bound_play(
     """
     oracle = AdversaryCodemaker(config, max_states=max_states)
     secret, _ = solver(oracle, config)
-    if len(oracle.feasible) != 1 or oracle.feasible[0] != secret:
+    if len(oracle.feasible) != 1 or next(iter(oracle.feasible)) != secret:
         raise InconsistentOracleError(
             "game ended before the feasible set was a verified singleton"
         )

@@ -79,8 +79,9 @@ class SolverInvariantError(RuntimeError):
 class CodemakerOracle(ABC):
     """Answering side of one game.
 
-    Validates every guess, range-checks every answer, and records both into a
-    transcript shared with the solver.
+    Validates every guess and records it and its answer into a transcript
+    shared with the solver.  The transcript judges the count, and the oracle
+    reports a bad one as InconsistentOracleError.
     """
 
     def __init__(self, config: GameConfig):
@@ -90,15 +91,10 @@ class CodemakerOracle(ABC):
     def answer(self, guess) -> int:
         validate_code(guess, self.config)
         count = self._respond(guess)
-        if type(count) is not int:
-            raise InconsistentOracleError(
-                f"answer {count!r} is a {type(count).__name__}, not an int"
-            )
-        if not 0 <= count <= self.config.n:
-            raise InconsistentOracleError(
-                f"answer {count} outside 0..{self.config.n}"
-            )
-        self.transcript.record(guess, count)
+        try:
+            self.transcript.record(guess, count)
+        except ValueError as exc:
+            raise InconsistentOracleError(str(exc)) from None
         return count
 
     @abstractmethod

@@ -249,15 +249,23 @@ class TestAdversary:
             verify_lower_bound_play(GameConfig(2, 3), solver=wide_solver)
 
     def test_audit_alarms_on_overhigh_answer(self):
-        # an answer above its floor must trip the alarm even in a long game
-        def fake_solver(oracle, config):
-            oracle.feasible = [(1, 2, 3)]
-            for answer in (2, 1, 1):
-                oracle.transcript.record((1, 2, 3), answer)
-            return (1, 2, 3), oracle.transcript
+        # an answer above its floor must trip the alarm even in a long game,
+        # on a square board and, with k > n, for an answer of n before query k
+        cases = [
+            (GameConfig(3, 3), (1, 2, 3), [((1, 2, 3), 2), ((1, 2, 3), 1), ((1, 2, 3), 1)],
+             "above the floor 1"),
+            (GameConfig(2, 3), (1, 2), [((1, 2), 2), ((2, 1), 0), ((1, 2), 2)],
+             "impossible before query 3"),
+        ]
+        for config, secret, events, match in cases:
+            def fake_solver(oracle, config):
+                oracle.feasible = [secret]
+                for guess, answer in events:
+                    oracle.transcript.record(guess, answer)
+                return secret, oracle.transcript
 
-        with pytest.raises(LemmaViolationError):
-            verify_lower_bound_play(GameConfig(3, 3), solver=fake_solver)
+            with pytest.raises(LemmaViolationError, match=match):
+                verify_lower_bound_play(config, solver=fake_solver)
 
 
 class TestAdaptSecretInput:
@@ -278,6 +286,11 @@ class TestAdaptSecretInput:
     def test_invalid_code_rejected(self, queries, secret):
         with pytest.raises(InvalidCodeError):
             adapt_secret(GameConfig(3, 3), queries, secret)
+
+    def test_wide_board_without_untried_color_rejected(self):
+        # position 1 has seen every color of (2,3), so the premise m < k fails
+        with pytest.raises(ValueError, match="no replacement color available at position 1"):
+            adapt_secret(GameConfig(2, 3), [(2, 1), (3, 1), (1, 2)], (1, 2))
 
     @pytest.mark.parametrize("k", [64, 80])
     def test_splices_adapt_like_their_tuples(self, k):

@@ -204,12 +204,11 @@ def test_accepts_lists_too():
 
 @pytest.mark.parametrize("n,k", [(2, 2), (3, 5), (4, 4), (5, 5), (3, 7), (2, 300)])
 def test_code_matrix_rows_are_the_permutations_in_order(n, k):
-    # the whole board's set, read code by code, and code by index
+    # the whole board's set, read code by code
     codes = code_set(n, k)
     expected = list(all_injective_codes(GameConfig(n, k)))
     assert len(codes) == len(expected)
     assert list(codes) == expected
-    assert [codes[0], codes[-1]] == [expected[0], expected[-1]]
 
 
 def _fresh_python(probe):

@@ -241,10 +241,21 @@ class TestInitialPhase:
         with pytest.raises(InconsistentOracleError):
             initial_phase(oracle)
 
-    @pytest.mark.parametrize("mistyped", [1.0, 2.7, "1", True])
-    def test_mistyped_answer_rejected(self, mistyped):
+    @pytest.mark.parametrize(
+        "mistyped,match",
+        [
+            (1.0, "not an int"),
+            (2.7, "not an int"),
+            ("1", "not an int"),
+            (True, "not an int"),
+            (4, "outside 0..3"),
+            (-1, "outside 0..3"),
+        ],
+        ids=["1.0", "2.7", "1", "True", "4", "-1"],
+    )
+    def test_mistyped_answer_rejected(self, mistyped, match):
         oracle = ScriptedOracle(GameConfig(3, 3), [mistyped])
-        with pytest.raises(InconsistentOracleError, match="not an int"):
+        with pytest.raises(InconsistentOracleError, match=match):
             oracle.answer((1, 2, 3))
         assert oracle.transcript.query_count == 0
 
