@@ -13,6 +13,7 @@ from .bruteforce import (
     exhaustive_verify,
     minimax_value,
     minimax_value_naive,
+    verify_lower_bound_play,
 )
 from .codemaker import (
     AdversaryCodemaker,
@@ -22,7 +23,6 @@ from .codemaker import (
     all_injective_codes,
     injective_code_count,
     random_injective_code,
-    verify_lower_bound_play,
 )
 from .core import (
     OPEN,

@@ -1,13 +1,15 @@
-"""Exhaustive verification and exact game-tree search.
+"""Every checker of finished games, and exact game-tree search.
 
 `replay` plays the solver against each secret it is given, drawing them one
-at a time, and audits each game: right answer, internally consistent
-transcript, and query budget respected.  `exhaustive_verify` replays every
-possible secret of a board; the command line's `bench` replays seeded
-samples through the same loop.  `minimax_value` computes the true worst-case
-query count of an optimal codebreaker by searching the full game tree; it is
-exponential and guarded accordingly, but on tiny boards it brackets what the
-solver achieves.
+at a time, and audits each game (`audit_game`): right answer, internally
+consistent transcript, and query budget respected.  `exhaustive_verify`
+replays every possible secret of a board; the command line's `bench` and
+`solve` audit their games the same way.  `verify_lower_bound_play` plays the
+solver against the adversary, checks the answer floors the lower bound rests
+on and then audits that game too.  `minimax_value` computes the true
+worst-case query count of an optimal codebreaker by searching the full game
+tree; it is exponential and guarded accordingly, but on tiny boards it
+brackets what the solver achieves.
 """
 
 from __future__ import annotations
@@ -17,18 +19,22 @@ from operator import itemgetter
 
 from . import _kernel
 from .codemaker import (
+    AdversaryCodemaker,
+    LemmaViolationError,
     StaticCodemaker,
+    _capped_count,
     _check_capacity,
+    _count_text,
     all_injective_codes,
-    injective_code_count,
 )
 from .core import (
     CapacityError,
     GameConfig,
+    InconsistentOracleError,
     Transcript,
     first_miscount,
 )
-from .solver import query_bound, solve
+from .solver import SolverInvariantError, query_bound, solve
 
 MINIMAX_SOFT_LIMIT = 32
 MINIMAX_HARD_LIMIT = 120
@@ -138,6 +144,55 @@ def exhaustive_verify(
     game (`replay`), once the board passes the capacity guard."""
     _check_capacity(config, max_states, "exhaustive verification")
     return replay(config, all_injective_codes(config), solver)
+
+
+def verify_lower_bound_play(
+    config: GameConfig,
+    solver=solve,
+    max_states: int | None = None,
+) -> tuple[int, list[tuple[int, int]]]:
+    """Play the solver against the adversary, check the answer floors and
+    audit the game.
+
+    Returns (queries_used, trace) where trace lists (query_index, answer),
+    read from the adversary's transcript.  Raises, in this order:
+    CapacityError if the board has more codes than `max_states` allows;
+    InconsistentOracleError if the game ends before the feasible set is a
+    singleton; LemmaViolationError if the game asks fewer than k queries
+    (n when k = n), or if an answer exceeds its floor: the m-th at most m
+    when k == n, below n before the k-th if k > n; SolverInvariantError if
+    `audit_game` finds the game at fault against the remaining secret, on
+    the adversary's transcript: a wrong secret recovered, a recorded count
+    the secret contradicts, or more queries than `query_bound`.
+    """
+    oracle = AdversaryCodemaker(config, max_states=max_states)
+    recovered, _ = solver(oracle, config)
+    if len(oracle.feasible) != 1:
+        raise InconsistentOracleError(
+            "game ended before the feasible set was a verified singleton"
+        )
+    queried = oracle.transcript.queried_events()
+    trace = [(m, ev.black) for m, ev in enumerate(queried, start=1)]
+    n, k = config.n, config.k
+    if len(trace) < k:
+        raise LemmaViolationError(
+            f"game ended after {len(trace)} queries, below the {k}-query floor"
+        )
+    for m, answer in trace:
+        if k == n:
+            if answer > m:
+                raise LemmaViolationError(
+                    f"query {m} was answered {answer}, above the floor {m}"
+                )
+        elif m < k and answer >= n:
+            raise LemmaViolationError(
+                f"query {m} was answered {answer}, which should be impossible before query {k}"
+            )
+    # the oracle's transcript holds the answers the adversary actually gave
+    failures = audit_game(next(iter(oracle.feasible)), recovered, oracle.transcript, len(trace))
+    if failures:
+        raise SolverInvariantError(f"adversary game failed its audit: {failures}")
+    return len(trace), trace
 
 
 def _depth_floors(count: int, branch: int) -> list[int]:
@@ -277,10 +332,12 @@ def minimax_value(config: GameConfig, allow_large: bool = False) -> int:
     early.  Values are unchanged: only the search into hopeless guesses goes.
     `minimax_value_naive` tries every code and is the reference.
     """
-    count = injective_code_count(config)
+    # the hard limit exceeds the soft one, so one capped count serves both
+    count = _capped_count(config, MINIMAX_HARD_LIMIT)
     if count > MINIMAX_HARD_LIMIT:
         raise CapacityError(
-            f"game-tree search over {count} codes is out of reach (limit {MINIMAX_HARD_LIMIT})"
+            f"game-tree search over {_count_text(count)} codes is out of reach "
+            f"(limit {MINIMAX_HARD_LIMIT})"
         )
     if count > MINIMAX_SOFT_LIMIT and not allow_large:
         raise CapacityError(
@@ -362,7 +419,7 @@ def minimax_value_naive(config: GameConfig) -> int:
     """Reference implementation: plain recursion, no memo, no pruning, no
     shortcuts.  Only for cross-checking minimax_value on the tiniest boards.
     """
-    if injective_code_count(config) > 12:
+    if _capped_count(config, 12) > 12:
         raise CapacityError("the naive search is for cross-checks on tiny boards only")
     codes = tuple(all_injective_codes(config))
     rows = [_kernel.black_row(codes, x) for x in codes]

@@ -3,7 +3,8 @@
 Subcommands:
   solve        play against a given or randomly drawn secret
   exhaustive   replay every secret of a board and audit each game
-  adversary    play against the worst-case codemaker and audit its floors
+  adversary    play against the worst-case codemaker, check its floors and
+               audit the game
   bench        time seeded sample games and emit one CSV row
   interactive  you answer the black counts, it finds your code
   minimax      exact optimal worst case via game-tree search (tiny boards)
@@ -25,13 +26,18 @@ from collections import Counter
 from fractions import Fraction
 
 from . import __version__
-from .bruteforce import audit_game, exhaustive_verify, minimax_value, replay
+from .bruteforce import (
+    audit_game,
+    exhaustive_verify,
+    minimax_value,
+    replay,
+    verify_lower_bound_play,
+)
 from .codemaker import (
     LemmaViolationError,
     StaticCodemaker,
     injective_code_count,
     random_injective_code,
-    verify_lower_bound_play,
 )
 from .core import (
     CapacityError,

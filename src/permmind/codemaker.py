@@ -1,13 +1,12 @@
-"""Codemaker oracles and the adversarial lower-bound machinery.
+"""Codemaker oracles and the adaption behind the adversary's lower bound.
 
 `StaticCodemaker` answers for a fixed secret.  `AdversaryCodemaker` commits
 to nothing: it keeps the set of secrets consistent with everything answered
 so far, always answers with the smallest black count any remaining secret
 would produce, and discards the rest.  Played against, it forces the
-codebreaker to spend at least k queries (n when k = n);
-`verify_lower_bound_play` runs such a game and checks, on the
-adversary's transcript, the answer floors the argument rests on (answer at
-query m is at most m when k == n, and below n before query k when k > n).
+codebreaker to spend at least k queries (n when k = n).  Playing such a game
+and checking it, floors and audit, is `bruteforce.verify_lower_bound_play`,
+beside the other checkers.
 
 The adaption procedure is the constructive heart of that argument:
 `adapt_secret(config, queries, secret)` takes the query history and a
@@ -25,16 +24,13 @@ import math
 from functools import cached_property
 
 from . import _kernel
-from .core import (
-    GameConfig,
-    InconsistentOracleError,
-    CapacityError,
-    Splice,
-    validate_code,
-)
-from .solver import CodemakerOracle, solve
+from .core import CapacityError, GameConfig, Splice, validate_code
+from .solver import CodemakerOracle
 
 DEFAULT_STATE_LIMIT = 10**6
+# counts past this are written as "more than" it: no message spells out a
+# count of thousands of digits
+COUNT_CAP = 10**30
 
 
 class LemmaViolationError(RuntimeError):
@@ -59,12 +55,30 @@ def random_injective_code(config: GameConfig, rng) -> tuple:
     return tuple(pool[: config.n])
 
 
+def _capped_count(config: GameConfig, limit: int) -> int:
+    """k!/(k-n)!, multiplied out factor by factor until the product is past
+    both `limit` and COUNT_CAP.  So the result exceeds `limit` exactly when
+    the true count does, and it is the true count whenever that is at most
+    COUNT_CAP; a huge board costs a few multiplications, not a huge int."""
+    count = 1
+    for factor in range(config.k, config.k - config.n, -1):
+        count *= factor
+        if count > limit and count > COUNT_CAP:
+            break
+    return count
+
+
+def _count_text(count: int) -> str:
+    """A count from `_capped_count` as messages write it."""
+    return str(count) if count <= COUNT_CAP else f"more than {COUNT_CAP}"
+
+
 def _check_capacity(config: GameConfig, max_states: int | None, what: str) -> None:
-    count = injective_code_count(config)
     limit = DEFAULT_STATE_LIMIT if max_states is None else max_states
+    count = _capped_count(config, limit)
     if count > limit:
         raise CapacityError(
-            f"{what} would enumerate {count} codes, limit is {limit} "
+            f"{what} would enumerate {_count_text(count)} codes, limit is {limit} "
             "(raise it with --max-states)"
         )
 
@@ -186,41 +200,3 @@ def adapt_secret(config: GameConfig, queries, secret) -> tuple:
     for pos, color in zip(positions[first:], colors[first:]):
         z[pos - 1] = color
     return tuple(z)
-
-
-def verify_lower_bound_play(
-    config: GameConfig,
-    solver=solve,
-    max_states: int | None = None,
-) -> tuple[int, list[tuple[int, int]]]:
-    """Play the solver against the adversary and audit the answer floors.
-
-    Returns (queries_used, trace) where trace lists (query_index, answer),
-    read from the adversary's transcript.  Raises LemmaViolationError if the
-    game asks fewer than k queries (n when k = n) or an answer exceeds its
-    floor: the m-th at most m when k == n, below n before the k-th if k > n.
-    """
-    oracle = AdversaryCodemaker(config, max_states=max_states)
-    secret, _ = solver(oracle, config)
-    if len(oracle.feasible) != 1 or next(iter(oracle.feasible)) != secret:
-        raise InconsistentOracleError(
-            "game ended before the feasible set was a verified singleton"
-        )
-    queried = oracle.transcript.queried_events()
-    trace = [(m, ev.black) for m, ev in enumerate(queried, start=1)]
-    n, k = config.n, config.k
-    if len(trace) < k:
-        raise LemmaViolationError(
-            f"game ended after {len(trace)} queries, below the {k}-query floor"
-        )
-    for m, answer in trace:
-        if k == n:
-            if answer > m:
-                raise LemmaViolationError(
-                    f"query {m} was answered {answer}, above the floor {m}"
-                )
-        elif m < k and answer >= n:
-            raise LemmaViolationError(
-                f"query {m} was answered {answer}, which should be impossible before query {k}"
-            )
-    return len(trace), trace

@@ -123,8 +123,9 @@ def test_criterion_04_large_boards_sampled():
 
 def test_criterion_05_adversary_square_boards():
     """The adversary forces at least n queries on n = k in 3..6, answering
-    at most m at query m, and its candidate set never empties
-    (verify_lower_bound_play raises otherwise)."""
+    at most m at query m, and its candidate set never empties; the game
+    also passes `audit_game`: right secret, consistent transcript, within
+    `query_bound` (verify_lower_bound_play raises otherwise)."""
     results = {}
     for n in range(3, 7):
         queries, _ = verify_lower_bound_play(GameConfig(n, n))
@@ -134,8 +135,9 @@ def test_criterion_05_adversary_square_boards():
 
 def test_criterion_06_adversary_wide_boards():
     """The adversary forces at least k queries on wide boards, never
-    conceding a full match before query k (verify_lower_bound_play raises
-    otherwise)."""
+    conceding a full match before query k, and the game passes `audit_game`:
+    right secret, consistent transcript, within `query_bound`
+    (verify_lower_bound_play raises otherwise)."""
     results = {}
     for n, k in ((2, 3), (3, 5)):
         queries, _ = verify_lower_bound_play(GameConfig(n, k))

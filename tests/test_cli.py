@@ -9,6 +9,7 @@ import subprocess
 import sys
 import time
 import tracemalloc
+from functools import partial
 from pathlib import Path
 
 import pytest
@@ -24,7 +25,8 @@ from permmind import (
     random_injective_code,
     solve,
 )
-from permmind import cli
+from permmind import bruteforce, cli
+from util import overspend_on_2x2
 
 
 def run(argv, capsys):
@@ -336,6 +338,33 @@ class TestAdversaryCommand:
         assert code == 3
         assert "ALARM" in err
 
+    @pytest.mark.parametrize(
+        "argv,digest",
+        [
+            (["--n", "8"], "bfbf377750b24a14b88702873115e05f240014bf0c3a30bdf6b3f96a9eef1326"),
+            (
+                ["--n", "6", "--k", "12", "--trace"],
+                "e68b06c2ad0964d0a4509177f3e594697e4eae9215b4f94339a12bb203f708b3",
+            ),
+        ],
+        ids=["8x8", "6x12-trace"],
+    )
+    def test_output_is_pinned(self, argv, digest, capsys):
+        code, out, _ = run(["adversary", *argv], capsys)
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+    def test_failed_audit_exits_2(self, capsys, monkeypatch):
+        monkeypatch.setattr(
+            cli,
+            "verify_lower_bound_play",
+            partial(bruteforce.verify_lower_bound_play, solver=overspend_on_2x2),
+        )
+        code, _, err = run(["adversary", "--n", "2"], capsys)
+        assert code == 2
+        assert err.startswith("permmind: verification failed: adversary game failed its audit")
+        assert "over_budget" in err
+
     def test_inconsistent_exit_code(self, capsys, monkeypatch):
         def lie(config, max_states=None):
             raise InconsistentOracleError("adversary feasible set emptied")
@@ -344,6 +373,55 @@ class TestAdversaryCommand:
         code, _, err = run(["adversary", "--n", "3"], capsys)
         assert code == 2
         assert err == "permmind: inconsistent: adversary feasible set emptied\n"
+
+
+HUGE_COUNT = "more than 1000000000000000000000000000000 codes"
+
+
+class TestCapacityMessages:
+    @pytest.mark.parametrize(
+        "argv,message",
+        [
+            (
+                ["exhaustive", "--n", "2000"],
+                f"exhaustive verification would enumerate {HUGE_COUNT}, limit is 1000000 "
+                "(raise it with --max-states)",
+            ),
+            (
+                ["adversary", "--n", "2000"],
+                f"adversary play would enumerate {HUGE_COUNT}, limit is 1000000 "
+                "(raise it with --max-states)",
+            ),
+            (
+                ["minimax", "--n", "2000"],
+                f"game-tree search over {HUGE_COUNT} is out of reach (limit 120)",
+            ),
+            (
+                ["exhaustive", "--n", "3", "--max-states", "5"],
+                "exhaustive verification would enumerate 6 codes, limit is 5 "
+                "(raise it with --max-states)",
+            ),
+            (
+                ["adversary", "--n", "30", "--max-states", str(10**31)],
+                f"adversary play would enumerate {HUGE_COUNT}, limit is {10**31} "
+                "(raise it with --max-states)",
+            ),
+        ],
+        ids=["exhaustive-2000", "adversary-2000", "minimax-2000", "exact", "past-the-cap"],
+    )
+    def test_message(self, argv, message, capsys):
+        # a count of thousands of digits is never written out, nor computed
+        code, out, err = run(argv, capsys)
+        assert code == 1 and out == ""
+        assert err == f"permmind: error: {message}\n"
+
+    @pytest.mark.parametrize("command", ["exhaustive", "adversary", "minimax"])
+    def test_ten_million_holes_refused_at_once(self, command, capsys):
+        started = time.perf_counter()
+        code, _, err = run([command, "--n", "10000000"], capsys)
+        assert code == 1
+        assert HUGE_COUNT in err
+        assert time.perf_counter() - started < 5
 
 
 class TestBenchCommand:

@@ -17,6 +17,7 @@ from permmind import (
     InconsistentOracleError,
     InvalidCodeError,
     LemmaViolationError,
+    SolverInvariantError,
     Splice,
     StaticCodemaker,
     Transcript,
@@ -30,8 +31,9 @@ from permmind import (
     verify_lower_bound_play,
 )
 from permmind import _kernel
+from permmind.codemaker import COUNT_CAP, _capped_count, _count_text
 from permmind._kernel import black_count
-from util import make_same_colors_instance, make_spare_colors_instance
+from util import make_same_colors_instance, make_spare_colors_instance, overspend_on_2x2
 
 
 class TestStaticCodemaker:
@@ -266,6 +268,58 @@ class TestAdversary:
 
             with pytest.raises(LemmaViolationError, match=match):
                 verify_lower_bound_play(config, solver=fake_solver)
+
+
+    def test_audit_fails_an_over_budget_game(self):
+        # four queries keep every floor but pass the (2,2) bound of 3
+        with pytest.raises(SolverInvariantError, match="over_budget"):
+            verify_lower_bound_play(GameConfig(2, 2), solver=overspend_on_2x2)
+
+    def test_audit_fails_a_miscounted_transcript(self):
+        # the third query claims (1,2) scores 1 against the remaining (2,1)
+        def miscounting_solver(oracle, config):
+            oracle.answer((1, 2))
+            oracle.answer((2, 1))
+            oracle.transcript.record((1, 2), 1)
+            return (2, 1), oracle.transcript
+
+        with pytest.raises(SolverInvariantError, match="bad_transcript"):
+            verify_lower_bound_play(GameConfig(2, 2), solver=miscounting_solver)
+
+    def test_audit_fails_a_wrong_secret(self):
+        def wrong_solver(oracle, config):
+            oracle.answer((1, 2))
+            oracle.answer((2, 1))
+            return (1, 2), oracle.transcript
+
+        with pytest.raises(SolverInvariantError, match="wrong_secret"):
+            verify_lower_bound_play(GameConfig(2, 2), solver=wrong_solver)
+
+
+class TestCapacity:
+    @given(
+        st.integers(min_value=2, max_value=80).flatmap(
+            lambda k: st.tuples(st.integers(min_value=2, max_value=k), st.just(k))
+        ),
+        st.data(),
+    )
+    def test_capped_count_refuses_like_the_exact_count(self, board, data):
+        config = GameConfig(*board)
+        exact = injective_code_count(config)
+        limit = data.draw(
+            st.one_of(
+                st.integers(min_value=-1, max_value=10**40),
+                st.sampled_from([0, 12, 120, 10**6, COUNT_CAP - 1, COUNT_CAP, COUNT_CAP + 1]),
+                st.integers(min_value=-2, max_value=2).map(lambda d: exact + d),
+            )
+        )
+        capped = _capped_count(config, limit)
+        assert (capped > limit) == (exact > limit)
+        assert capped <= exact
+        if exact <= COUNT_CAP:
+            assert capped == exact and _count_text(capped) == str(exact)
+        else:
+            assert capped > COUNT_CAP and _count_text(capped) == f"more than {COUNT_CAP}"
 
 
 class TestAdaptSecretInput:

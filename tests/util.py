@@ -83,3 +83,12 @@ def make_spare_colors_instance(rng, n: int | None = None, m: int | None = None) 
 def all_rotations(config: GameConfig) -> list:
     """Rotations 1..k of the board, in order."""
     return [config.rotation(j) for j in range(1, config.k + 1)]
+
+
+def overspend_on_2x2(oracle, config):
+    """A `solver=` for the adversary on (2,2), whose bound is 3: asks (1,2),
+    then (2,1) three times, and names (2,1).  Its answers keep every floor."""
+    oracle.answer((1, 2))
+    for _ in range(3):
+        oracle.answer((2, 1))
+    return (2, 1), oracle.transcript
