@@ -17,15 +17,20 @@ the many small feasible sets of indices by such a row.  The adversary's
 kernels work on a `CodeSet`, a set of codes of one board numbered in
 lexicographic order: `code_set` holds a whole board, and `min_black_filter`
 answers a guess with a new set, leaving its input as it was.  A large set
-is one int with a bit per code, counted a position at a time with big-int
-AND, OR and XOR; a small one holds its codes as tuples and counts them one
-by one.  The kernels use the standard library alone.  Length validation
-happens in the callers, not here.  `active_backend` names the
-implementation for benchmark metadata; there is only this one.
+is held by first color: for each color that still begins one of its codes,
+an int with a bit per code of the board with one hole and one color fewer.
+It is counted block by block with big-int AND, OR and XOR against that
+smaller board's hit masks, which are built once per game, so no answer
+builds a mask as long as the whole board.  A small set holds its codes as
+tuples and counts them one by one.  The kernels use the standard library
+alone.  Length validation happens in the callers, not here.
+`active_backend` names the implementation for benchmark metadata; there is
+only this one.
 """
 
 import math
 from bisect import bisect_left, bisect_right
+from itertools import chain
 from operator import eq
 
 active_backend = "pure"
@@ -69,12 +74,13 @@ class _Board:
     The codes sharing a first color c are the `block` indices from
     (c - 1) * block on, and their last n - 1 colors, each color above c
     lowered by one, run through `sub`, the (n - 1, k - 1) board, in its
-    order.  So the hit mask of color c at position w >= 1, whose bit i is set
-    when code i holds c there, is c - 1 copies of `sub`'s mask of c - 1 at
-    w - 1, one per first color below c, then a block left empty for c
-    itself, then k - c copies of `sub`'s mask of c at w - 1.  `hits` builds
-    a mask so, by shift/OR doubling (`_repeat`); the sub-boards keep theirs
-    in `_hits`, so a game pays for each of its masks only once.
+    order.  So within the block of c, the codes holding color g at
+    position w >= 1 are `sub`'s codes holding g - 1 at w - 1 when c < g,
+    and those holding g there when c > g; none hold c.  `hits` lays those
+    block masks side by side, by shift/OR doubling (`_repeat`), into the
+    hit mask whose bit i is set when code i holds g at w.  Only sub-boards
+    build masks for a game, and `cached_hits` keeps each one, so a game
+    pays for it once.
     """
 
     def __init__(self, n, k):
@@ -100,16 +106,22 @@ class _Board:
             mask = self._hits[w, c] = self.hits(w, c)
         return mask
 
-    def code(self, index):
-        """The code numbered `index`."""
-        unused = list(range(1, self.k + 1))
-        code = []
-        board = self
-        while board is not None:
-            color, index = divmod(index, board.block)
-            code.append(unused.pop(color))
-            board = board.sub
-        return tuple(code)
+    def codes(self, c, mask):
+        """The codes of first color c whose last n - 1 colors are the
+        `sub`-board codes in `mask`, in order.  The other k - 1 colors are
+        listed once for the block, and each code pops its later colors, by
+        their digits, from a copy of that list."""
+        others = [*range(1, c), *range(c + 1, self.k + 1)]
+        sub = self.sub
+        for index in _indices(mask):
+            unused = others[:]
+            code = [c]
+            board = sub
+            while board is not None:
+                color, index = divmod(index, board.block)
+                code.append(unused.pop(color))
+                board = board.sub
+            yield tuple(code)
 
 
 def _repeat(block, width, count):
@@ -150,80 +162,68 @@ def _indices(mask):
 
 
 class CodeSet:
-    """A set of codes of one board, held either as `mask`, an int whose bit
-    i is set when the board's code i is in the set, or, once few codes are
-    left, as `codes`, the codes themselves in lexicographic order.  A value:
-    nothing changes it after it is built.  `len` and iteration see the codes
-    as tuples, in lexicographic order."""
+    """A set of codes of one board.  While many codes are left it is
+    `blocks`, a dict from each first color c that begins a code of the set,
+    in ascending order, to an int whose bit i is set when the code of c
+    over `board.sub`'s code i is in the set (see `_Board`); an emptied
+    block has no entry.  A whole board is k entries sharing one int.  Once
+    few codes are left the set is `codes`, the codes themselves in
+    lexicographic order.  Nothing changes a set after it is built.  `len`
+    and iteration see the codes as tuples, in lexicographic order, decoded
+    block by block."""
 
-    __slots__ = ("board", "mask", "codes", "_len")
+    __slots__ = ("board", "blocks", "codes", "_len")
 
-    def __init__(self, board, mask=None, codes=None):
+    def __init__(self, board, blocks=None, codes=None):
         self.board = board
-        self.mask = mask
+        self.blocks = blocks
         self.codes = codes
-        self._len = len(codes) if mask is None else mask.bit_count()
+        self._len = len(codes) if blocks is None else sum(map(int.bit_count, blocks.values()))
 
     def __len__(self):
         return self._len
 
     def __iter__(self):
-        if self.codes is None:
-            return map(self.board.code, _indices(self.mask))
-        return iter(self.codes)
+        if self.blocks is None:
+            return iter(self.codes)
+        return chain.from_iterable(self.board.codes(c, mask) for c, mask in self.blocks.items())
 
 
 def code_set(n, k):
     """Every code of n distinct colors from 1..k."""
     board = _Board(n, k)
-    return CodeSet(board, mask=(1 << board.size) - 1)
+    full = (1 << board.block) - 1
+    return CodeSet(board, blocks=dict.fromkeys(range(1, k + 1), full))
 
 
-# `min_black_filter` counts a set by mask while it holds more than a
-# 2**-DECODE_SHIFT share of its board, and decodes it below that: a mask
-# answer costs about n full-board hit masks, and a decoded one a few
-# microseconds a code.  Whole games by `verify_lower_bound_play`, best of
-# several, in ms, on an Intel Xeon VM with Python 3.11.7:
+# `min_black_filter` counts a set by block while it holds more than a
+# 2**-DECODE_SHIFT share of its board, and decodes it below that: a block
+# answer costs about n - 1 ANDs of each live block with a sub-board hit mask,
+# and a decoded one a few microseconds a code.  Whole games by
+# `verify_lower_bound_play`, best of 11, in ms, on an Intel Xeon VM with
+# Python 3.11.7; the last column is the four boards of the adversary_wide
+# benchmark, (9,9), (8,9), (7,10) and (6,12), one after another:
 #
-#   shift     (9,9)  (6,12)  (10,10)  (2,1000)
-#   9           6.8     7.9     59.9       268
-#   10          4.6     7.4     53.7       238
-#   11          5.1     6.8     53.2       208
-#   12          5.4     6.7     69.2       202
-#   never      18.9    12.7      311       212
-DECODE_SHIFT = 11
+#   shift     (9,9)  (6,12)  (10,10)  (2,1000)  four boards
+#   9          1.87    1.77    18.13       212         7.25
+#   10         1.17    1.64     7.36       200         5.41
+#   11         1.17    1.18     7.35       219         5.06
+#   12         1.22    1.24     6.57       207         4.74
+#   13         1.09    1.19     6.32       204         4.47
+#   14         1.09    1.13     6.10       199         4.24
+#   15         1.09    1.10     6.05       210         4.44
+#   16         1.08    1.15     6.50       210         4.46
+#   never      1.37    1.19     7.56       207         5.21
+DECODE_SHIFT = 14
 
 
-def min_black_filter(codes, guess):
-    """Smallest black count any code of the `CodeSet` `codes` scores against
-    `guess`, as a plain int, plus the `CodeSet` of the codes that score
-    exactly that.  Raises on an empty set.
-
-    A set of at most a 2**-DECODE_SHIFT share of its board, or one already
-    decoded, is counted code by code, and the survivors keep their codes.  A
-    larger set is counted by mask: each position's hit mask, restricted to
-    the set, holds the codes that agree with the guess there.  When those
-    masks do not cover the whole set, the answer is 0 and the uncovered codes
-    survive.
-    Otherwise the masks are added into a bit-sliced counter, whose plane j
-    holds bit j of each code's count, and the smallest count is read from the
-    top plane down: at each plane, the codes with a 0 bit, if any, are the
-    ones that can still be smallest."""
-    if not len(codes):
-        raise ValueError("empty code set")
-    board, live = codes.board, codes.mask
-    if live is None or len(codes) <= board.size >> DECODE_SHIFT:
-        members = list(codes)
-        counts = black_row(members, guess)
-        best = min(counts)
-        kept = [code for code, count in zip(members, counts) if count == best]
-        return best, CodeSet(board, codes=kept)
-    hits = [board.hits(w, c) & live for w, c in enumerate(guess)]
-    covered = 0
-    for hit in hits:
-        covered |= hit
-    if covered != live:
-        return 0, CodeSet(board, mask=live ^ covered)
+def _least(hits, live):
+    """The smallest count any code of `live` reaches, a code's count being
+    the number of `hits` masks holding it, and the mask of the codes that
+    reach it.  The masks are added into a bit-sliced counter, whose plane j
+    holds bit j of each code's count, and the smallest count is read from
+    the top plane down: at each plane, the codes with a 0 bit, if any, are
+    the ones that can still be smallest."""
     planes = []
     for carry in hits:
         for j, plane in enumerate(planes):
@@ -240,7 +240,64 @@ def min_black_filter(codes, guess):
             live = low
         else:
             best |= 1 << j
-    return best, CodeSet(board, mask=live)
+    return best, live
+
+
+def min_black_filter(codes, guess):
+    """Smallest black count any code of the `CodeSet` `codes` scores against
+    `guess`, as a plain int, plus the `CodeSet` of the codes that score
+    exactly that.  Raises on an empty set.
+
+    A set of at most a 2**-DECODE_SHIFT share of its board, or one already
+    decoded, is counted code by code, and the survivors keep their codes.  A
+    larger set is counted block by block.  In the block of first color c,
+    position 0 hits every code when the guess starts with c, and position
+    w >= 1, of guess color g, hits the codes in the sub-board's mask of
+    g - 1 at w - 1 when c < g and of g when c > g (see `_Board`); the top
+    board never builds a mask of its own.  When some block's hits do not
+    cover it, the answer is 0 and the uncovered codes of every block
+    survive.  Otherwise each block's least count comes from `_least`, and
+    the blocks reaching the smallest of them keep the codes that do."""
+    if not len(codes):
+        raise ValueError("empty code set")
+    board = codes.board
+    if codes.blocks is None or len(codes) <= board.size >> DECODE_SHIFT:
+        members = list(codes)
+        counts = black_row(members, guess)
+        best = min(counts)
+        kept = [code for code, count in zip(members, counts) if count == best]
+        return best, CodeSet(board, codes=kept)
+    colors = iter(guess)
+    first = next(colors)
+    sub, k = board.sub, board.k
+    # each later position's color g and the sub-board masks that the blocks
+    # below g and above it see
+    masks = [
+        (g, sub.cached_hits(w, g - 1) if g > 1 else 0, sub.cached_hits(w, g) if g < k else 0)
+        for w, g in enumerate(colors)
+    ]
+    best, kept, uncovered = None, {}, {}
+    for c, live in codes.blocks.items():
+        hits = [live] if c == first else []
+        for g, below, above in masks:
+            if c != g:
+                hit = (below if c < g else above) & live
+                if hit:
+                    hits.append(hit)
+        covered = 0
+        for hit in hits:
+            covered |= hit
+        if covered != live:
+            uncovered[c] = live ^ covered
+        elif not uncovered:
+            count, low = _least(hits, live)
+            if best is None or count < best:
+                best, kept = count, {c: low}
+            elif count == best:
+                kept[c] = low
+    if uncovered:
+        return 0, CodeSet(board, blocks=uncovered)
+    return best, CodeSet(board, blocks=kept)
 
 
 def black_row(codes, guess):

@@ -118,10 +118,12 @@ class AdversaryCodemaker(CodemakerOracle):
     Keeps the feasible set explicitly, so nothing it says is ever a lie about
     every remaining secret, and the game cannot end until the set is a
     singleton (only then can an answer reach n).  The set is a
-    `_kernel.CodeSet` of the board's codes in lexicographic order: a bit per
-    code while many remain, the codes themselves once few do.  Each answer
-    replaces it with the set of the codes scoring the answer
-    (`_kernel.min_black_filter`) and changes no earlier set.
+    `_kernel.CodeSet` of the board's codes in lexicographic order: while
+    many remain, one int per first color still in play, a bit per code of
+    the board with one hole and one color fewer; the codes themselves once
+    few do.  Each answer replaces it with the set of the codes scoring the
+    answer (`_kernel.min_black_filter`), counted block by block, and
+    changes no earlier set.
     """
 
     def __init__(self, config: GameConfig, max_states: int | None = None):

@@ -346,8 +346,20 @@ class TestAdversaryCommand:
                 ["--n", "6", "--k", "12", "--trace"],
                 "e68b06c2ad0964d0a4509177f3e594697e4eae9215b4f94339a12bb203f708b3",
             ),
+            (
+                ["--n", "10", "--max-states", "3628800", "--trace"],
+                "7ede838423c9bc53a6c1b6172c5453f44a510e6b33c92d728e53a4a40f6d3e04",
+            ),
+            (
+                ["--n", "2", "--k", "300", "--trace"],
+                "8a760c0c5fe80ee4c5f3de587f8e3587f87ee9d89e50219186dc3022439afa09",
+            ),
+            (
+                ["--n", "7", "--k", "14", "--max-states", "17297280", "--trace"],
+                "eacc960435f0664c863e37c5dcaf579f77cc21ea41236faf580fc1990d097e93",
+            ),
         ],
-        ids=["8x8", "6x12-trace"],
+        ids=["8x8", "6x12-trace", "10x10-trace", "2x300-trace", "7x14-trace"],
     )
     def test_output_is_pinned(self, argv, digest, capsys):
         code, out, _ = run(["adversary", *argv], capsys)

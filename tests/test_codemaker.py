@@ -162,7 +162,7 @@ class TestAdversary:
     @pytest.mark.parametrize("n,k", [(4, 4), (4, 6), (2, 300)])
     def test_wide_colors_play_like_the_tuple_reference(self, n, k):
         # square, narrow-wide, and 300 colors, whose 89,700 codes are held
-        # by mask until the last few dozen are decoded
+        # in first-color blocks until the last few are decoded
         config = GameConfig(n, k)
         _, played = solve(AdversaryCodemaker(config), config)
         _, expected = solve(_TupleAdversary(config), config)
@@ -170,8 +170,9 @@ class TestAdversary:
 
     @pytest.mark.parametrize("n,k", [(9, 9), (6, 12)])
     def test_first_answer_filters_in_place(self, n, k):
-        # the first answer scans every code: n hit masks and a few more
-        # masks of a bit per code, never a copy of the codes
+        # the first answer scans every code: the sub-board hit masks the
+        # guess needs, built once for the game, and one block's hits and
+        # counter planes at a time, never a copy of the codes
         config = GameConfig(n, k)
         tracemalloc.start()
         try:
@@ -186,8 +187,9 @@ class TestAdversary:
 
     @pytest.mark.parametrize("n,k", [(9, 9), (6, 12)])
     def test_whole_game_peaks_under_4_bytes_per_code(self, n, k):
-        # the board's set, the sub-boards' cached hit masks and one answer's
-        # masks, a bit per code each, never a byte per code per hole
+        # the board's blocks, the sub-boards' cached hit masks and one
+        # block's masks at a time, a bit per code each, never a byte per code
+        # per hole
         config = GameConfig(n, k)
         tracemalloc.start()
         try:

@@ -71,6 +71,24 @@ def _mask(indices, size):
     return int("".join(reversed(bits)), 2)
 
 
+def _blocks(indices, board):
+    """The first-color blocks of the board's codes numbered `indices`: the
+    nonempty ones, as color: mask over the sub-board, in color order."""
+    blocks = {}
+    for i in sorted(indices):
+        color, index = divmod(i, board.block)
+        blocks[color + 1] = blocks.get(color + 1, 0) | 1 << index
+    return blocks
+
+
+def _whole(codes):
+    """A block-held `CodeSet` as one whole-board mask, bit i for code i;
+    its blocks must be nonempty and in ascending color order."""
+    assert list(codes.blocks) == sorted(codes.blocks)
+    assert all(codes.blocks.values())
+    return sum(mask << (c - 1) * codes.board.block for c, mask in codes.blocks.items())
+
+
 @st.composite
 def live_sets(draw):
     """A nonempty set of the codes of a board of at most 720 codes, as a
@@ -85,13 +103,14 @@ def live_sets(draw):
     # never empty: the guess is a code of the board
     eligible = [i for i, code in enumerate(codes) if black_count(code, guess) >= floor]
     chosen = draw(st.lists(st.sampled_from(eligible), min_size=1, unique=True))
-    live = CodeSet(code_set(n, k).board, mask=_mask(chosen, len(codes)))
+    board = code_set(n, k).board
+    live = CodeSet(board, blocks=_blocks(chosen, board))
     return live, [codes[i] for i in sorted(chosen)], guess
 
 
 @given(live_sets(), st.sampled_from([0, 64]))
 def test_min_black_filter_agrees_with_black_count(drawn, shift):
-    # shift 0 decodes every set, 64 counts every one by mask
+    # shift 0 decodes every set, 64 counts every one by block
     live, members, guess = drawn
     counts = [black_count(m, guess) for m in members]
     best = min(counts)
@@ -104,6 +123,47 @@ def test_min_black_filter_agrees_with_black_count(drawn, shift):
     assert list(live) == members  # the input set is left as it was
 
 
+@st.composite
+def block_sets(draw, shape):
+    """A board of at most 720 codes, a set held in some of its first-color
+    blocks, and a guess.  `shape` picks the blocks: "emptied" leaves at
+    least one color's block empty, "single" keeps one block, and "owned"
+    keeps one block whose color the guess starts with, so position 0 hits
+    every code."""
+    k = draw(st.integers(min_value=2, max_value=6))
+    n = draw(st.integers(min_value=2, max_value=k))
+    board = code_set(n, k).board
+    if shape == "emptied":
+        colors = sorted(draw(st.lists(st.integers(1, k), min_size=1, max_size=k - 1, unique=True)))
+    else:
+        colors = [draw(st.integers(1, k))]
+    blocks = {c: draw(st.integers(1, (1 << board.block) - 1)) for c in colors}
+    guess = draw(st.permutations(range(1, k + 1)))
+    if shape == "owned":
+        guess.remove(colors[0])
+        guess.insert(0, colors[0])
+    return CodeSet(board, blocks=blocks), tuple(guess[:n])
+
+
+@pytest.mark.parametrize("shape", ["emptied", "single", "owned"])
+@given(data=st.data())
+def test_min_black_filter_counts_blocks_like_black_count(shape, data):
+    live, guess = data.draw(block_sets(shape))
+    n, k = len(guess), live.board.k
+    codes = list(all_injective_codes(GameConfig(n, k)))
+    whole = _whole(live)
+    members = [i for i in range(len(codes)) if whole >> i & 1]
+    counts = [black_count(codes[i], guess) for i in members]
+    best = min(counts)
+    with mock.patch.object(_kernel, "DECODE_SHIFT", 64):
+        count, survivors = min_black_filter(live, guess)
+    expected = [i for i, c in zip(members, counts) if c == best]
+    assert count == best
+    assert _whole(survivors) == _mask(expected, len(codes))
+    assert list(survivors) == [codes[i] for i in expected]
+    assert len(survivors) == len(expected)
+
+
 @pytest.mark.parametrize(
     "n,k,guesses,decoded",
     [(9, 9, 40, {False, True}), (2, 300, 8, {False})],
@@ -111,7 +171,7 @@ def test_min_black_filter_agrees_with_black_count(drawn, shift):
 )
 def test_min_black_filter_guess_after_guess(n, k, guesses, decoded):
     # the filter's own sets, guess after guess, against the codes filtered
-    # one by one: on (9,9) from the whole board by mask to a decoded
+    # one by one: on (9,9) from the whole board by block to a decoded
     # singleton, on (2,300) a few answers on sets of about 89,000 codes
     codes = list(all_injective_codes(GameConfig(n, k)))
     reference = range(len(codes))
@@ -126,13 +186,13 @@ def test_min_black_filter_guess_after_guess(n, k, guesses, decoded):
         best = min(counts)
         reference = [i for i, c in zip(reference, counts) if c == best]
         count, live = min_black_filter(live, guess)
-        forms.add(live.mask is None)
+        forms.add(live.blocks is None)
         assert count == best
         assert len(live) == len(reference)
-        if live.mask is None:
+        if live.blocks is None:
             assert live.codes == [codes[i] for i in reference]
         else:
-            assert live.mask == _mask(reference, len(codes))
+            assert _whole(live) == _mask(reference, len(codes))
     assert forms == decoded
 
 
@@ -183,7 +243,7 @@ def test_black_count_is_an_int(b, count):
 
 def test_empty_filter_raises():
     board = code_set(3, 3).board
-    for empty in (CodeSet(board, mask=0), CodeSet(board, codes=[])):
+    for empty in (CodeSet(board, blocks={}), CodeSet(board, codes=[])):
         with pytest.raises(ValueError):
             min_black_filter(empty, (1, 2, 3))
 
@@ -193,8 +253,9 @@ def test_accepts_lists_too():
     # rotation 1 is (1, 2, 3), which agrees with the partial at position 2
     assert rotation_profile([0, 2, 0], 3) == {1: [2]}
     assert partial_match_count(rotation_profile([0, 2, 0], 3), [1, 1, 3]) == 1
-    # (1, 2, 3) and (3, 2, 1) are the first and last codes of the board
-    live = CodeSet(code_set(3, 3).board, mask=0b100001)
+    # (1, 2, 3) and (3, 2, 1) are the first and last codes of the board,
+    # the first of block 1 and the last of block 3
+    live = CodeSet(code_set(3, 3).board, blocks={1: 0b01, 3: 0b10})
     count, survivors = min_black_filter(live, [1, 3, 2])
     assert (count, list(survivors)) == (0, [(3, 2, 1)])
     row = black_row([[1, 2, 3], [3, 2, 1]], [1, 3, 2])
