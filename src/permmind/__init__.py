@@ -5,6 +5,13 @@ The solver identifies any secret from black-count answers alone, within a
 query budget that grows like n log n; the adversary module realizes the
 matching lower bound; the brute-force module replays every secret of a board
 to check all of it.
+
+The public API is the board (`GameConfig`, `validate_code`, `black`, the
+code enumerations), the codemakers (`StaticCodemaker`, `AdversaryCodemaker`,
+their base `CodemakerOracle`), the codebreaker (`solve`, `query_bound`), its
+records and the checkers of the paper's bounds, with their errors.  The
+solver's phases and `SolverState` live in `permmind.solver`, `OPEN` and
+`open_matches` in `permmind.core`.
 """
 
 from .bruteforce import (
@@ -25,7 +32,6 @@ from .codemaker import (
     random_injective_code,
 )
 from .core import (
-    OPEN,
     CapacityError,
     GameConfig,
     InconsistentOracleError,
@@ -34,31 +40,19 @@ from .core import (
     Transcript,
     TranscriptEvent,
     black,
-    open_matches,
     validate_code,
 )
 from .solver import (
     CodemakerOracle,
     SolverInvariantError,
-    SolverState,
-    apply_found_component,
     bound_enforced,  # not in __all__: only the benchmark harness reads it
-    ceil_log2,
-    endgame,
-    find_first,
-    find_first_uniform,
-    find_next,
-    find_next_many_colors,
-    initial_phase,
     query_bound,
-    select_active_index,
     solve,
 )
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "OPEN",
     "AdversaryCodemaker",
     "CapacityError",
     "CodemakerOracle",
@@ -67,7 +61,6 @@ __all__ = [
     "InvalidCodeError",
     "LemmaViolationError",
     "SolverInvariantError",
-    "SolverState",
     "Splice",
     "StaticCodemaker",
     "Transcript",
@@ -75,24 +68,14 @@ __all__ = [
     "VerificationReport",
     "adapt_secret",
     "all_injective_codes",
-    "apply_found_component",
     "black",
-    "ceil_log2",
     "check_transcript",
-    "endgame",
     "exhaustive_verify",
-    "find_first",
-    "find_first_uniform",
-    "find_next",
-    "find_next_many_colors",
-    "initial_phase",
     "injective_code_count",
     "minimax_value",
     "minimax_value_naive",
-    "open_matches",
     "query_bound",
     "random_injective_code",
-    "select_active_index",
     "solve",
     "validate_code",
     "verify_lower_bound_play",

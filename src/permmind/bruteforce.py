@@ -22,10 +22,10 @@ from .codemaker import (
     AdversaryCodemaker,
     LemmaViolationError,
     StaticCodemaker,
-    _capped_count,
-    _check_capacity,
-    _count_text,
     all_injective_codes,
+    capped_count,
+    check_capacity,
+    count_text,
 )
 from .core import (
     CapacityError,
@@ -142,7 +142,7 @@ def exhaustive_verify(
 ) -> VerificationReport:
     """Replay the solver against every secret of the board and audit each
     game (`replay`), once the board passes the capacity guard."""
-    _check_capacity(config, max_states, "exhaustive verification")
+    check_capacity(config, max_states, "exhaustive verification")
     return replay(config, all_injective_codes(config), solver)
 
 
@@ -333,10 +333,10 @@ def minimax_value(config: GameConfig, allow_large: bool = False) -> int:
     `minimax_value_naive` tries every code and is the reference.
     """
     # the hard limit exceeds the soft one, so one capped count serves both
-    count = _capped_count(config, MINIMAX_HARD_LIMIT)
+    count = capped_count(config, MINIMAX_HARD_LIMIT)
     if count > MINIMAX_HARD_LIMIT:
         raise CapacityError(
-            f"game-tree search over {_count_text(count)} codes is out of reach "
+            f"game-tree search over {count_text(count)} codes is out of reach "
             f"(limit {MINIMAX_HARD_LIMIT})"
         )
     if count > MINIMAX_SOFT_LIMIT and not allow_large:
@@ -419,7 +419,7 @@ def minimax_value_naive(config: GameConfig) -> int:
     """Reference implementation: plain recursion, no memo, no pruning, no
     shortcuts.  Only for cross-checking minimax_value on the tiniest boards.
     """
-    if _capped_count(config, 12) > 12:
+    if capped_count(config, 12) > 12:
         raise CapacityError("the naive search is for cross-checks on tiny boards only")
     codes = tuple(all_injective_codes(config))
     rows = [_kernel.black_row(codes, x) for x in codes]

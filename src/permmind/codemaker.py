@@ -15,6 +15,9 @@ black count but strictly lowers the latest one, proving the adversary could
 have answered lower all along.  It is one chain walk over two color pools:
 the colors on which the current query and secret agree when k == n, and
 every color when k > n.
+
+The capacity helpers `capped_count`, `count_text` and `check_capacity`
+are public: the brute-force module refuses huge boards with them too.
 """
 
 from __future__ import annotations
@@ -55,7 +58,7 @@ def random_injective_code(config: GameConfig, rng) -> tuple:
     return tuple(pool[: config.n])
 
 
-def _capped_count(config: GameConfig, limit: int) -> int:
+def capped_count(config: GameConfig, limit: int) -> int:
     """k!/(k-n)!, multiplied out factor by factor until the product is past
     both `limit` and COUNT_CAP.  So the result exceeds `limit` exactly when
     the true count does, and it is the true count whenever that is at most
@@ -68,36 +71,32 @@ def _capped_count(config: GameConfig, limit: int) -> int:
     return count
 
 
-def _count_text(count: int) -> str:
-    """A count from `_capped_count` as messages write it."""
+def count_text(count: int) -> str:
+    """A count from `capped_count` as messages write it."""
     return str(count) if count <= COUNT_CAP else f"more than {COUNT_CAP}"
 
 
-def _check_capacity(config: GameConfig, max_states: int | None, what: str) -> None:
+def check_capacity(config: GameConfig, max_states: int | None, what: str) -> None:
     limit = DEFAULT_STATE_LIMIT if max_states is None else max_states
-    count = _capped_count(config, limit)
+    count = capped_count(config, limit)
     if count > limit:
         raise CapacityError(
-            f"{what} would enumerate {_count_text(count)} codes, limit is {limit} "
+            f"{what} would enumerate {count_text(count)} codes, limit is {limit} "
             "(raise it with --max-states)"
         )
 
 
 class StaticCodemaker(CodemakerOracle):
-    """Honest oracle for a fixed secret.
+    """Honest oracle for a fixed secret on the board `config`, a required
+    argument: k is not a property of a secret.
 
     A `Splice` of the board is answered by run, two bisects each into the
     secret's rotation profile, built at the first one; other guesses by
     `_kernel.black_count`, since validation has matched their lengths.
     """
 
-    def __init__(self, secret, config: GameConfig | None = None):
+    def __init__(self, secret, config: GameConfig):
         secret = tuple(secret)
-        if config is None:
-            # only exact ints can be colors; GameConfig and validate_code
-            # name whatever else is wrong with the secret
-            colors = [c for c in secret if type(c) is int]
-            config = GameConfig(len(secret), max([len(secret), *colors]))
         validate_code(secret, config)
         super().__init__(config)
         self.secret = secret
@@ -107,7 +106,7 @@ class StaticCodemaker(CodemakerOracle):
         return _kernel.rotation_profile(self.secret, self.config.k)
 
     def _respond(self, guess: tuple) -> int:
-        if type(guess) is Splice and guess.config.k == self.config.k:
+        if type(guess) is Splice and (guess.config is self.config or guess.config == self.config):
             return _kernel.partial_match_count(self.profile, guess.runs)
         return _kernel.black_count(guess, self.secret)
 
@@ -127,7 +126,7 @@ class AdversaryCodemaker(CodemakerOracle):
     """
 
     def __init__(self, config: GameConfig, max_states: int | None = None):
-        _check_capacity(config, max_states, "adversary play")
+        check_capacity(config, max_states, "adversary play")
         super().__init__(config)
         self.feasible = _kernel.code_set(config.n, config.k)
 

@@ -136,14 +136,14 @@ def validate_code(code, config: GameConfig) -> None:
     entries meet the palette 1..k in n distinct colors exactly when the code
     is valid.  The type test comes first, so no unhashable entry is ever
     hashed.  A `Splice` takes an O(1) test that never looks at its n colors:
-    it must be of a board with k colors whose last run ends at n, and its
-    constructor must have found its color arcs disjoint (`Splice.injective`).
+    it must be a splice of this board, whose constructor found its color
+    arcs disjoint (`Splice.injective`).
     A code the fast test refuses is checked, and its first violation named
     in position order, by the loop.
     """
     n = config.n
     if type(code) is Splice:
-        if code.injective and code.runs[-1] == n and code.config.k == config.k:
+        if code.injective and (code.config is config or code.config == config):
             return
     elif (
         len(code) == n

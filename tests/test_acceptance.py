@@ -12,22 +12,19 @@ from permmind import (
     GameConfig,
     StaticCodemaker,
     all_injective_codes,
-    apply_found_component,
     black,
     check_transcript,
     exhaustive_verify,
-    initial_phase,
-    find_next,
     minimax_value,
-    open_matches,
     query_bound,
     random_injective_code,
-    select_active_index,
     solve,
     validate_code,
     verify_lower_bound_play,
 )
 from permmind import cli
+from permmind.core import open_matches
+from permmind.solver import apply_found_component, find_next, initial_phase, select_active_index
 from util import make_same_colors_instance, make_spare_colors_instance
 from permmind import adapt_secret
 
@@ -39,7 +36,7 @@ def _report(line):
 def test_criterion_01_worked_replay():
     """The documented n = 8 game fragment replays move for move."""
     secret = (7, 1, 4, 3, 2, 8, 5, 6)
-    state = initial_phase(StaticCodemaker(secret))
+    state = initial_phase(StaticCodemaker(secret, GameConfig(8, 8)))
     assert state.v == [0, 2, 3, 1, 0, 0, 1, 1]
     # three components: 2 at position 5 (rotation 4), 5 and 6 at 7 and 8
     # (rotation 3)

@@ -30,16 +30,15 @@ from permmind.bruteforce import _depth_floors, _fixing, _orbit_ids, _position_sy
 from util import all_rotations
 
 
-def _played_transcript(secret, config=None):
-    oracle = StaticCodemaker(secret, config)
-    _, transcript = solve(oracle, oracle.config)
+def _played_transcript(secret, config):
+    _, transcript = solve(StaticCodemaker(secret, config), config)
     return transcript
 
 
 def _played_games():
     """(secret, transcript) on (4,4), and on a square and a wide board large
     enough that the solver asks and records its guesses as `Splice`s."""
-    yield (2, 1, 4, 3), _played_transcript((2, 1, 4, 3))
+    yield (2, 1, 4, 3), _played_transcript((2, 1, 4, 3), GameConfig(4, 4))
     rng = random.Random(5)
     for n, k in ((64, 64), (64, 80)):
         secret = tuple(rng.sample(range(1, k + 1), n))

@@ -5,6 +5,7 @@ import io
 import json
 import os
 import random
+import re
 import subprocess
 import sys
 import time
@@ -35,13 +36,17 @@ def run(argv, capsys):
     return code, captured.out, captured.err
 
 
+def module_env():
+    """The environment of a new interpreter that imports this permmind."""
+    return dict(os.environ, PYTHONPATH=str(Path(permmind.__file__).resolve().parent.parent))
+
+
 def no_game(oracle, config):
     pytest.fail("a game was played")
 
 
-def answers_for(secret, config=None):
-    oracle = StaticCodemaker(secret, config)
-    _, transcript = solve(oracle, oracle.config)
+def answers_for(secret, config):
+    _, transcript = solve(StaticCodemaker(secret, config), config)
     return "\n".join(str(ev.black) for ev in transcript.events if not ev.derived) + "\n"
 
 
@@ -210,11 +215,9 @@ class TestSolveCommand:
     def test_closed_stdout_ends_the_output_not_the_command(self, extra):
         # `solve ... | head -1`: the reader leaves after one line, while the
         # 2.4 MB transcript is still being written
-        src = Path(permmind.__file__).resolve().parent.parent
-        env = dict(os.environ, PYTHONPATH=str(src))
         argv = [sys.executable, "-m", "permmind.cli", "solve", "--n", "256", "--seed", "1", *extra]
         proc = subprocess.Popen(
-            argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env
+            argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=module_env()
         )
         first = proc.stdout.readline()
         proc.stdout.close()
@@ -534,7 +537,7 @@ class TestBenchCommand:
 
 class TestInteractiveCommand:
     def test_honest_answers_find_the_code(self, capsys, monkeypatch):
-        monkeypatch.setattr("sys.stdin", io.StringIO(answers_for((3, 1, 4, 2))))
+        monkeypatch.setattr("sys.stdin", io.StringIO(answers_for((3, 1, 4, 2), GameConfig(4, 4))))
         code, out, _ = run(["interactive", "--n", "4"], capsys)
         assert code == 0
         assert "Your code is 3 1 4 2" in out
@@ -562,14 +565,14 @@ class TestInteractiveCommand:
         assert "permmind: verification failed: endgame entered" in err
 
     def test_junk_lines_are_reprompted(self, capsys, monkeypatch):
-        answers = answers_for((2, 1, 4, 3))
+        answers = answers_for((2, 1, 4, 3), GameConfig(4, 4))
         monkeypatch.setattr("sys.stdin", io.StringIO("huh\n" + answers))
         code, out, _ = run(["interactive", "--n", "4"], capsys)
         assert code == 0
         assert "need a number" in out
 
     def test_out_of_range_answers_are_reprompted(self, capsys, monkeypatch):
-        answers = answers_for((2, 1, 4, 3))
+        answers = answers_for((2, 1, 4, 3), GameConfig(4, 4))
         monkeypatch.setattr("sys.stdin", io.StringIO("9\n-1\n" + answers))
         code, out, _ = run(["interactive", "--n", "4"], capsys)
         assert code == 0
@@ -615,6 +618,7 @@ class TestMinimaxCommand:
 
 
 README = Path(__file__).resolve().parent.parent / "README.md"
+WORKFLOW = Path(__file__).resolve().parent.parent / ".github" / "workflows" / "tests.yml"
 
 
 def _readme_block(lines, start):
@@ -667,6 +671,30 @@ class TestReadmeExamples:
             assert code == 0, argv
             assert expected, argv
             assert _in_order(expected, out.splitlines()), argv
+
+
+def test_module_run_prints_readme_bench_and_exits_with_main_code():
+    # `python -m permmind.cli` goes through the `__main__` guard and
+    # `console_main`, as the installed `permmind` script does
+    def module_run(*args):
+        argv = [sys.executable, "-m", "permmind.cli", *args]
+        return subprocess.run(argv, env=module_env(), capture_output=True, text=True, timeout=120)
+
+    lines = README.read_text().splitlines()
+    expected = _readme_block(lines, lines.index("### Bench CSV"))
+    bench = module_run("bench", "--n", "8", "--samples", "20", "--seed", "3")
+    assert bench.returncode == 0
+    assert len(expected) == 2 and bench.stdout.splitlines() == expected
+    assert module_run("solve", "--n", "1", "--seed", "1").returncode == 1
+
+
+def test_workflow_digests_are_pinned_here_too():
+    # the oldest-python CI job repeats output digests this file pins; a
+    # digest changed on one side only fails here, not first on a runner
+    digests = re.findall(r"\b[0-9a-f]{64}\b", WORKFLOW.read_text())
+    pinned = Path(__file__).read_text()
+    assert digests
+    assert [d for d in digests if d not in pinned] == []
 
 
 class TestParser:

@@ -31,36 +31,41 @@ from permmind import (
     verify_lower_bound_play,
 )
 from permmind import _kernel
-from permmind.codemaker import COUNT_CAP, _capped_count, _count_text
+from permmind.codemaker import COUNT_CAP, capped_count, count_text
 from permmind._kernel import black_count
 from util import make_same_colors_instance, make_spare_colors_instance, overspend_on_2x2
 
 
 class TestStaticCodemaker:
     def test_answers_black_counts(self):
-        oracle = StaticCodemaker((2, 1, 4, 3))
+        oracle = StaticCodemaker((2, 1, 4, 3), GameConfig(4, 4))
         assert oracle.answer((1, 2, 3, 4)) == 0
         assert oracle.answer((2, 1, 3, 4)) == 2
         assert oracle.answer((2, 1, 4, 3)) == 4
         assert oracle.transcript.query_count == 3
 
-    def test_config_inference(self):
-        assert StaticCodemaker((2, 1, 4, 3)).config == GameConfig(4, 4)
-        assert StaticCodemaker((5, 1)).config == GameConfig(2, 5)
+    def test_board_is_required(self):
+        # k is not a property of a secret: none is guessed from it
+        with pytest.raises(TypeError):
+            StaticCodemaker((2, 1, 4, 3))
+        config = GameConfig(4, 6)  # the secret does not use color 6
+        oracle = StaticCodemaker((2, 1, 4, 3), config)
+        assert oracle.config is config
+        assert solve(oracle, config)[0] == (2, 1, 4, 3)
 
-    def test_config_inference_names_bad_secrets(self):
-        with pytest.raises(ValueError, match="need at least 2 holes"):
-            StaticCodemaker(())
-        with pytest.raises(InvalidCodeError) as exc:
-            StaticCodemaker(("a", "b"))
-        assert exc.value.reason == "range"
+    def test_bad_secrets_are_named_against_the_board(self):
+        config = GameConfig(2, 4)
+        for secret, reason in (((), "length"), (("a", "b"), "range"), ((3, 3), "duplicate")):
+            with pytest.raises(InvalidCodeError) as exc:
+                StaticCodemaker(secret, config)
+            assert exc.value.reason == reason
 
     def test_explicit_config_validates_secret(self):
         with pytest.raises(InvalidCodeError):
             StaticCodemaker((1, 5), GameConfig(2, 4))
 
     def test_rejects_bad_guess(self):
-        oracle = StaticCodemaker((2, 1, 3))
+        oracle = StaticCodemaker((2, 1, 3), GameConfig(3, 3))
         with pytest.raises(InvalidCodeError):
             oracle.answer((1, 2))
         with pytest.raises(InvalidCodeError):
@@ -315,13 +320,13 @@ class TestCapacity:
                 st.integers(min_value=-2, max_value=2).map(lambda d: exact + d),
             )
         )
-        capped = _capped_count(config, limit)
+        capped = capped_count(config, limit)
         assert (capped > limit) == (exact > limit)
         assert capped <= exact
         if exact <= COUNT_CAP:
-            assert capped == exact and _count_text(capped) == str(exact)
+            assert capped == exact and count_text(capped) == str(exact)
         else:
-            assert capped > COUNT_CAP and _count_text(capped) == f"more than {COUNT_CAP}"
+            assert capped > COUNT_CAP and count_text(capped) == f"more than {COUNT_CAP}"
 
 
 class TestAdaptSecretInput:

@@ -9,7 +9,6 @@ import pytest
 from hypothesis import given, strategies as st
 
 from permmind import (
-    OPEN,
     GameConfig,
     InconsistentOracleError,
     InvalidCodeError,
@@ -19,10 +18,10 @@ from permmind import (
     TranscriptEvent,
     black,
     check_transcript,
-    open_matches,
     solve,
     validate_code,
 )
+from permmind.core import OPEN, open_matches
 from permmind._kernel import black_count, partial_match_count, rotation_profile
 from util import all_rotations
 

@@ -13,8 +13,9 @@ import pytest
 from hypothesis import given, strategies as st
 
 import permmind
-from permmind import OPEN, GameConfig, all_injective_codes
+from permmind import GameConfig, all_injective_codes
 from permmind import _kernel
+from permmind.core import OPEN
 from permmind._kernel import (
     CodeSet,
     black_count,

@@ -9,36 +9,40 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from permmind import (
-    OPEN,
     CapacityError,
     GameConfig,
     InconsistentOracleError,
     SolverInvariantError,
-    SolverState,
     Splice,
     StaticCodemaker,
     all_injective_codes,
-    apply_found_component,
     black,
     bound_enforced,
-    ceil_log2,
-    endgame,
-    find_first,
-    find_first_uniform,
-    find_next,
-    find_next_many_colors,
-    initial_phase,
-    open_matches,
     check_transcript,
     query_bound,
-    select_active_index,
     solve,
     validate_code,
 )
 import permmind._kernel
 import permmind.solver
 from permmind._kernel import rotation_profile
-from permmind.solver import CodemakerOracle, _bisect, _phase_budgets, check_board
+from permmind.core import OPEN, open_matches
+from permmind.solver import (
+    CodemakerOracle,
+    SolverState,
+    _bisect,
+    _phase_budgets,
+    apply_found_component,
+    ceil_log2,
+    check_board,
+    endgame,
+    find_first,
+    find_first_uniform,
+    find_next,
+    find_next_many_colors,
+    initial_phase,
+    select_active_index,
+)
 from util import all_rotations
 
 
@@ -77,9 +81,8 @@ class FixedOnlyOracle(CodemakerOracle):
         return black(guess, self.state.partial)
 
 
-def state_for(secret, config=None):
-    oracle = StaticCodemaker(secret, config)
-    return initial_phase(oracle)
+def state_for(secret, config):
+    return initial_phase(StaticCodemaker(secret, config))
 
 
 def check_search_results(monkeypatch, name):
@@ -109,7 +112,7 @@ def play_every_secret(config):
 def worked_example_state():
     """The worked n = 8 example after the opening, with three components
     fixed: 2 at position 5 (rotation 4), 5 and 6 at 7 and 8 (rotation 3)."""
-    state = state_for((7, 1, 4, 3, 2, 8, 5, 6))
+    state = state_for((7, 1, 4, 3, 2, 8, 5, 6), GameConfig(8, 8))
     for j, m in ((4, 5), (3, 7), (3, 8)):
         apply_found_component(state, j, m)
     assert state.partial == [OPEN, OPEN, OPEN, OPEN, 2, OPEN, 5, 6]
@@ -199,7 +202,7 @@ class TestInitialPhase:
         assert state.transcript.events[-1].derived
 
     def test_worked_example_answers(self):
-        state = state_for((7, 1, 4, 3, 2, 8, 5, 6))
+        state = state_for((7, 1, 4, 3, 2, 8, 5, 6), GameConfig(8, 8))
         assert state.v == [0, 2, 3, 1, 0, 0, 1, 1]
         assert state.transcript.query_count == 7
         assert state.solved_secret is None
@@ -339,7 +342,7 @@ class TestSelectActiveIndex:
 class TestFindFirst:
     def test_replay_plain(self):
         # y = (2,1,4,3): rotation answers (0,2,0,2), active index 2
-        state = state_for((2, 1, 4, 3))
+        state = state_for((2, 1, 4, 3), GameConfig(4, 4))
         j, r = select_active_index(state)
         assert (j, r) == (2, 3)
         m = find_first(state, j)
@@ -355,7 +358,7 @@ class TestFindFirst:
     def test_replay_degenerate_last_split(self):
         # y = (1,2,4,3): the split reaches l == n, whose guess is rotation 2
         # itself; the first/last swap resolves it and is counted
-        state = state_for((1, 2, 4, 3))
+        state = state_for((1, 2, 4, 3), GameConfig(4, 4))
         j, _ = select_active_index(state)
         assert j == 2
         m = find_first(state, j)
@@ -380,7 +383,7 @@ class TestFindFirst:
 
 class TestFindFirstUniform:
     def test_replay_odd_board(self):
-        state = state_for((1, 3, 5, 2, 4))
+        state = state_for((1, 3, 5, 2, 4), GameConfig(5, 5))
         assert state.v == [1, 1, 1, 1, 1]
         m = find_first_uniform(state)
         assert m == 1
@@ -447,7 +450,7 @@ class TestFindNext:
     def test_replay_pivot_at_last_slot(self):
         # pivot color 1 sits on the last slot of rotation 4, so the left
         # side is known without a probe
-        state = state_for((2, 1, 4, 3))
+        state = state_for((2, 1, 4, 3), GameConfig(4, 4))
         apply_found_component(state, 2, 2)
         assert state.partial == [OPEN, 1, OPEN, OPEN]
         assert state.v == [0, 1, 0, 2]
@@ -457,7 +460,7 @@ class TestFindNext:
         assert asked == [(2, 3, 1, 4), (2, 1, 3, 4)]
 
     def test_needs_a_fixed_component(self):
-        state = state_for((2, 1, 4, 3))
+        state = state_for((2, 1, 4, 3), GameConfig(4, 4))
         with pytest.raises(SolverInvariantError):
             find_next(state, 2)
 
@@ -545,27 +548,27 @@ class TestApplyFoundComponent:
         assert len(fixes) == config.n - 2 or secret in all_rotations(config)
 
     def test_updates_partial_and_v(self):
-        state = state_for((2, 1, 4, 3))
+        state = state_for((2, 1, 4, 3), GameConfig(4, 4))
         apply_found_component(state, 2, 2)
         assert state.partial == [OPEN, 1, OPEN, OPEN]
         assert state.v == [0, 1, 0, 2]
         assert (state.fixed, state.placed, state.pivot) == ({2: [2]}, {1}, 1)
 
     def test_rejects_refixing_position(self):
-        state = state_for((2, 1, 4, 3))
+        state = state_for((2, 1, 4, 3), GameConfig(4, 4))
         apply_found_component(state, 2, 2)
         with pytest.raises(InconsistentOracleError):
             apply_found_component(state, 4, 2)
 
     def test_rejects_duplicate_color(self):
-        state = state_for((2, 1, 4, 3))
+        state = state_for((2, 1, 4, 3), GameConfig(4, 4))
         apply_found_component(state, 2, 2)
         # rotation 4 holds color 1 at position 4 as well
         with pytest.raises(InconsistentOracleError):
             apply_found_component(state, 4, 4)
 
     def test_rejects_spent_rotation(self):
-        state = state_for((2, 1, 4, 3))
+        state = state_for((2, 1, 4, 3), GameConfig(4, 4))
         with pytest.raises(SolverInvariantError):
             apply_found_component(state, 1, 1)
 
@@ -599,12 +602,12 @@ class TestEndgame:
         assert all(first < second for first, second in pairs)
 
     def test_rejects_too_many_open_positions(self):
-        state = state_for((2, 1, 4, 3))
+        state = state_for((2, 1, 4, 3), GameConfig(4, 4))
         with pytest.raises(SolverInvariantError):
             endgame(state)
 
     def test_fully_fixed_code_is_asked_once(self):
-        state = state_for((2, 1, 4, 3))
+        state = state_for((2, 1, 4, 3), GameConfig(4, 4))
         state.partial = [2, 1, 4, 3]
         before = state.transcript.query_count
         assert endgame(state) == (2, 1, 4, 3)
@@ -612,7 +615,7 @@ class TestEndgame:
 
     def test_fully_fixed_code_is_checked_against_answers(self):
         # rotation 1 answered 0, but (1, 2, 4, 3) agrees with it twice
-        state = state_for((2, 1, 4, 3))
+        state = state_for((2, 1, 4, 3), GameConfig(4, 4))
         state.partial = [1, 2, 4, 3]
         before = state.transcript.query_count
         with pytest.raises(InconsistentOracleError, match="no completion"):
@@ -629,8 +632,9 @@ class TestEndgame:
 
 class TestSolve:
     def test_two_holes_need_two_queries(self):
+        config = GameConfig(2, 2)
         for secret in ((1, 2), (2, 1)):
-            recovered, transcript = solve(StaticCodemaker(secret))
+            recovered, transcript = solve(StaticCodemaker(secret, config), config)
             assert recovered == secret
             assert transcript.query_count <= 2
 
@@ -655,7 +659,7 @@ class TestSolve:
                 pass
 
     def test_config_mismatch_rejected(self):
-        oracle = StaticCodemaker((2, 1, 3))
+        oracle = StaticCodemaker((2, 1, 3), GameConfig(3, 3))
         with pytest.raises(ValueError):
             solve(oracle, GameConfig(4, 4))
 
