@@ -171,7 +171,7 @@ def verify_lower_bound_play(
         raise InconsistentOracleError(
             "game ended before the feasible set was a verified singleton"
         )
-    queried = oracle.transcript.queried_events()
+    queried = [ev for ev in oracle.transcript.events if not ev.derived]
     trace = [(m, ev.black) for m, ev in enumerate(queried, start=1)]
     n, k = config.n, config.k
     if len(trace) < k:

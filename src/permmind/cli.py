@@ -17,7 +17,6 @@ outcome worth a bug report).
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import random
 import sys
@@ -75,32 +74,29 @@ def _board(args) -> GameConfig:
     return GameConfig(args.n, k)
 
 
-# One event of render_transcript_json, as json.dumps(..., indent=2,
-# sort_keys=True) lays it out four spaces deep, filled in at C speed.
+# render_transcript_json's templates: the document json.dumps(...,
+# indent=2, sort_keys=True) lays out, filled in at C speed.  The header
+# keys sort around the events: "bound" before them, the rest after.
+_HEAD_JSON = '{\n  "bound": %d,\n  "events": ['
 _EVENT_JSON = (
     '{\n      "black": %d,\n      "derived": %s,\n      "guess": [\n        %s\n      ]\n    }'
 )
+_TAIL_JSON = '],\n  "k": %d,\n  "n": %d,\n  "queries": %d,\n  "secret": [\n    %s\n  ]\n}\n'
 
 
 def render_transcript_json(transcript: Transcript, secret):
-    """The transcript as one JSON document, yielded one event at a time.  The
-    header is dumped once; each event is written through a fixed template,
-    the same bytes the indenting encoder would give it."""
-    header = {
-        "n": transcript.config.n,
-        "k": transcript.config.k,
-        "events": [],
-        "queries": transcript.query_count,
-        "bound": query_bound(transcript.config),
-        "secret": list(secret),
-    }
-    head, tail = json.dumps(header, indent=2, sort_keys=True).split('"events": []')
-    yield head + '"events": ['
+    """The transcript as one JSON document, yielded one event at a time.
+    The whole document is written through fixed templates, the same bytes
+    the indenting encoder would give it."""
+    config = transcript.config
+    yield _HEAD_JSON % query_bound(config)
     for idx, ev in enumerate(transcript.events):
         guess = ",\n        ".join(map(str, ev.guess))
         text = _EVENT_JSON % (ev.black, "true" if ev.derived else "false", guess)
         yield (",\n    " if idx else "\n    ") + text
-    yield ("\n  ]" if transcript.events else "]") + tail + "\n"
+    yield ("\n  " if transcript.events else "") + _TAIL_JSON % (
+        config.k, config.n, transcript.query_count, ",\n    ".join(map(str, secret))
+    )
 
 
 def render_transcript_text(transcript: Transcript, secret):

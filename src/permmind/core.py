@@ -80,8 +80,8 @@ class GameConfig:
             raise ValueError(f"need at least 2 holes, got n={n}")
         if k < n:
             raise ValueError(f"need at least as many colors as holes, got n={n}, k={k}")
-        _set_config_n(self, n)
-        _set_config_k(self, k)
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "k", k)
 
     def __setattr__(self, name, value):
         raise AttributeError(f"GameConfig is immutable: cannot set {name!r}")
@@ -120,12 +120,6 @@ class GameConfig:
         """Rotation j, 1 <= j <= k: color ((i - j) mod k) + 1 at position i."""
         start = (1 - j) % self.k
         return self.cycle[start : start + self.n]
-
-
-# An immutable class's `__setattr__` raises, so its constructor sets each
-# slot through the slot's own descriptor, bound once here.
-_set_config_n = GameConfig.n.__set__
-_set_config_k = GameConfig.k.__set__
 
 
 def validate_code(code, config: GameConfig) -> None:
@@ -256,7 +250,9 @@ class Splice:
         return Splice, (self.config, self.runs)
 
 
-# bound once, as for `GameConfig`
+# An immutable class's `__setattr__` raises, so `Splice`'s constructor sets
+# each slot through the slot's own descriptor, bound once here: three
+# `object.__setattr__` calls would cost about a fifth of a splice.
 _set_splice_config = Splice.config.__set__
 _set_splice_runs = Splice.runs.__set__
 _set_splice_injective = Splice.injective.__set__
@@ -352,23 +348,18 @@ class Transcript:
         self.events = []
         self.terminal_swaps = 0
 
-    def record(self, guess, count: int, derived: bool = False):
-        """Append and return an event holding the guess: a `Splice` as it
-        is, any other code as a tuple.  Raises ValueError unless `count` is
-        an exact int in 0..n."""
+    def record(self, guess, count: int, derived: bool = False) -> None:
+        """Append an event holding the guess: a `Splice` as it is, any other
+        code as a tuple.  Raises ValueError unless `count` is an exact int
+        in 0..n."""
         if type(count) is not int:  # bools, floats and numpy ints are not counts
             raise ValueError(f"black count {count!r} is a {type(count).__name__}, not an int")
         if not 0 <= count <= self.config.n:
             raise ValueError(f"black count {count} outside 0..{self.config.n}")
         if type(guess) is not Splice:
             guess = tuple(guess)
-        event = TranscriptEvent(guess, count, derived)
-        self.events.append(event)
-        return event
+        self.events.append(TranscriptEvent(guess, count, derived))
 
     @property
     def query_count(self) -> int:
         return sum(1 for ev in self.events if not ev.derived)
-
-    def queried_events(self) -> list:
-        return [ev for ev in self.events if not ev.derived]

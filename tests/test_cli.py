@@ -22,6 +22,7 @@ from permmind import (
     LemmaViolationError,
     SolverInvariantError,
     StaticCodemaker,
+    Transcript,
     exhaustive_verify,
     random_injective_code,
     solve,
@@ -671,6 +672,31 @@ class TestReadmeExamples:
             assert code == 0, argv
             assert expected, argv
             assert _in_order(expected, out.splitlines()), argv
+
+    def test_transcript_json_excerpt_is_its_commands(self, capsys):
+        # the compacted excerpt parses, its header is the command's, and its
+        # events appear in order among the command's
+        lines = README.read_text().splitlines()
+        block = _readme_block(lines, lines.index("### Transcript JSON"))
+        excerpt = json.loads("\n".join(block))
+        code, out, _ = run(["solve", "--n", "4", "--secret", "2,1,4,3", "--json"], capsys)
+        assert code == 0
+        data = json.loads(out)
+        header = ("bound", "k", "n", "queries", "secret")
+        assert [excerpt[key] for key in header] == [11, 4, 4, 9, [2, 1, 4, 3]]
+        assert [data[key] for key in header] == [11, 4, 4, 9, [2, 1, 4, 3]]
+        assert set(excerpt) == set(data)
+        assert len(excerpt["events"]) == 2 and len(data["events"]) == 10
+        assert _in_order(excerpt["events"], data["events"])
+
+    def test_empty_transcript_json_is_the_encoders(self):
+        # no game writes an empty transcript, but the templates close the
+        # events list the way the encoder does
+        transcript = Transcript(GameConfig(3, 4))
+        out = "".join(cli.render_transcript_json(transcript, (2, 1, 3)))
+        data = json.loads(out)
+        assert data == {"bound": 7, "events": [], "k": 4, "n": 3, "queries": 0, "secret": [2, 1, 3]}
+        assert out == json.dumps(data, indent=2, sort_keys=True) + "\n"
 
 
 def test_module_run_prints_readme_bench_and_exits_with_main_code():

@@ -187,7 +187,8 @@ class TestSplice:
         assert hash(splice) == hash((5, 1, 3, 4))
         copied = pickle.loads(pickle.dumps(splice))
         assert type(copied) is Splice and copied == splice and copied.runs == splice.runs
-        event = transcript.record(splice, 1)
+        transcript.record(splice, 1)
+        event = transcript.events[-1]
         assert type(event) is TranscriptEvent and event.guess is splice
         plain = TranscriptEvent((5, 1, 3, 4), 1)
         assert event == plain and plain == event
@@ -517,11 +518,19 @@ class TestFigureVectors:
 class TestTranscript:
     def test_records_and_counts(self):
         t = Transcript(GameConfig(3, 3))
-        t.record((1, 2, 3), 1)
+        assert t.record((1, 2, 3), 1) is None
         t.record((3, 1, 2), 2, derived=True)
         assert t.query_count == 1
         assert len(t.events) == 2
-        assert [ev.guess for ev in t.queried_events()] == [(1, 2, 3)]
+        assert [ev.guess for ev in t.events if not ev.derived] == [(1, 2, 3)]
+
+    def test_event_never_equals_a_tuple(self):
+        # an event is not its fields: comparing it to anything but an event
+        # falls back to identity
+        event = TranscriptEvent((1, 2), 1)
+        assert event.__eq__(((1, 2), 1, False)) is NotImplemented
+        assert not event == ((1, 2), 1, False)
+        assert event != ((1, 2), 1, False)
 
     def test_event_repr_and_hash(self):
         event = TranscriptEvent((1, 2, 3), 1)

@@ -265,7 +265,7 @@ def test_accepts_lists_too():
 
 
 @pytest.mark.parametrize("n,k", [(2, 2), (3, 5), (4, 4), (5, 5), (3, 7), (2, 300)])
-def test_code_matrix_rows_are_the_permutations_in_order(n, k):
+def test_code_set_iterates_the_permutations_in_order(n, k):
     # the whole board's set, read code by code
     codes = code_set(n, k)
     expected = list(all_injective_codes(GameConfig(n, k)))
@@ -292,6 +292,18 @@ def test_importing_permmind_loads_no_numpy():
         "with contextlib.redirect_stdout(io.StringIO()):\n"
         "    assert permmind.cli.main(['adversary', '--n', '6']) == 0\n"
         "print('numpy' in sys.modules)"
+    )
+    assert _fresh_python(probe) == "False\n"
+
+
+def test_json_output_loads_no_json():
+    # the transcript JSON is written through fixed templates alone, so the
+    # command line never imports the encoder
+    probe = (
+        "import contextlib, io, sys, permmind.cli\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    assert permmind.cli.main(['solve', '--n', '8', '--seed', '1', '--json']) == 0\n"
+        "print('json' in sys.modules)"
     )
     assert _fresh_python(probe) == "False\n"
 

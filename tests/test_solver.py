@@ -622,6 +622,19 @@ class TestEndgame:
             endgame(state)
         assert state.transcript.query_count == before
 
+    def test_more_than_two_completions_is_the_solvers_fault(self):
+        # bookkeeping that places color 1 alone on (3,5) and keeps every
+        # rotation live admits the 4 other colors at both open positions:
+        # 4 * 3 completions, which an empty transcript cannot tell apart
+        config = GameConfig(3, 5)
+        state = SolverState(ScriptedOracle(config, []))
+        state.partial = [1, 0, 0]
+        state.placed = {1}
+        state.v = [1] * 5
+        with pytest.raises(SolverInvariantError, match="12 completions remain consistent"):
+            endgame(state)
+        assert state.transcript.events == []
+
     def test_contradictory_answers_detected(self):
         # both remaining candidates are denied: nothing can be the secret
         config = GameConfig(2, 2)
@@ -789,7 +802,7 @@ class TestSplicedBoards:
             oracle = RecordingCodemaker(secret, config)
             recovered, transcript = solve(oracle, config)
             assert recovered == secret
-            queried = transcript.queried_events()
+            queried = [ev for ev in transcript.events if not ev.derived]
             assert [ev.guess for ev in queried] == oracle.asked
             assert [ev.black for ev in queried] == [black(g, secret) for g in oracle.asked]
             events = transcript.events
